@@ -239,6 +239,9 @@ def _cmd_eval(args) -> int:
     task = parse_dataset(Path(args.data).read_text())
     params, manifest = load_checkpoint(args.checkpoint)
     model = _rebuild_model(manifest)
+    missing = sorted(model.params.keys() - params.keys())
+    if missing:
+        raise GraphFormatError(f"checkpoint lacks model parameters {missing}")
     for name, value in params.items():
         if name not in model.params:
             raise GraphFormatError(f"checkpoint parameter {name!r} not in model")

@@ -147,6 +147,13 @@ def build_graph(
         return RelGraph(num_nodes, num_relations, edges, None, fdim, True, self_relation)
     if features is None:
         raise GraphFormatError("features are required unless one_hot is set")
+    feat = _checked_features(features, num_nodes, feature_dim)
+    return RelGraph(
+        num_nodes, num_relations, edges, _frozen(feat.copy()), feat.shape[1], False, self_relation
+    )
+
+
+def _checked_features(features, num_nodes: int, feature_dim: int | None) -> np.ndarray:
     feat = np.asarray(features, dtype=np.float64)
     if feat.ndim != 2 or feat.shape[0] != num_nodes:
         raise GraphFormatError(
@@ -158,9 +165,7 @@ def build_graph(
         )
     if not np.all(np.isfinite(feat)):
         raise GraphFormatError("features must be finite")
-    return RelGraph(
-        num_nodes, num_relations, edges, _frozen(feat.copy()), feat.shape[1], False, self_relation
-    )
+    return feat
 
 
 @dataclass(frozen=True)
@@ -477,7 +482,12 @@ def with_self_relation(graph: RelGraph) -> RelGraph:
 
 
 def batch_graphs(graphs: Sequence[RelGraph]) -> BatchedGraph:
-    """Merges graphs block-diagonally; nodes renumber by running offset."""
+    """Merges graphs block-diagonally; nodes renumber by running offset.
+
+    Each relation's merged edge arrays are the members' arrays shifted by
+    their node offsets and concatenated. Every member edge must lie inside
+    its own graph, and the merged (target, source) pairs must be distinct.
+    """
     if not graphs:
         raise GraphFormatError("nothing to batch")
     first = graphs[0]
@@ -492,29 +502,42 @@ def batch_graphs(graphs: Sequence[RelGraph]) -> BatchedGraph:
             raise GraphFormatError("self-relation flags disagree between batch members")
     if first.one_hot_features:
         raise GraphFormatError("one-hot graphs cannot be batched")
-    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    total = int(offsets[-1])
-    triples = []
-    for i, g in enumerate(graphs):
-        off = int(offsets[i])
-        for r, (tgt, src) in enumerate(g.edges):
-            for t, s in zip(tgt, src):
-                triples.append((r, int(t) + off, int(s) + off))
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    edges = []
+    for r in range(first.num_relations):
+        tgt = np.concatenate([np.asarray(g.edges[r][0], dtype=np.int64) for g in graphs])
+        src = np.concatenate([np.asarray(g.edges[r][1], dtype=np.int64) for g in graphs])
+        counts = [len(g.edges[r][0]) for g in graphs]
+        if tgt.shape != src.shape or tgt.ndim != 1:
+            raise GraphFormatError(f"relation {r} target and source lists do not align")
+        bound = np.repeat(sizes, counts)
+        if np.any((tgt < 0) | (tgt >= bound) | (src < 0) | (src >= bound)):
+            raise GraphFormatError(f"node index out of range in relation {r} of a batch member")
+        shift = np.repeat(offsets, counts)
+        tgt += shift
+        src += shift
+        key = tgt * max(total, 1) + src
+        order = np.argsort(key, kind="stable")
+        if np.any(np.diff(key[order]) == 0):
+            raise GraphFormatError(f"duplicate edge in relation {r} of a batch member")
+        edges.append((_frozen(tgt[order]), _frozen(src[order])))
     features = (
         np.concatenate([g.features for g in graphs], axis=0)
         if total
         else np.zeros((0, first.feature_dim))
     )
-    merged = build_graph(
+    merged = RelGraph(
         total,
         first.num_relations,
-        triples,
-        features,
-        self_relation=first.self_relation,
+        tuple(edges),
+        _frozen(_checked_features(features, total, first.feature_dim)),
+        first.feature_dim,
+        False,
+        first.self_relation,
     )
-    segment = np.concatenate(
-        [np.full(g.num_nodes, i, dtype=np.int64) for i, g in enumerate(graphs)]
-    ) if total else np.zeros(0, dtype=np.int64)
+    segment = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     return BatchedGraph(merged, _frozen(segment), len(graphs))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
@@ -348,12 +349,32 @@ def _graph_objective(task, config, variant, model_seed, train_seed, overrides, f
 
 
 def _completed_trials(path: Path) -> set[int]:
+    """Trial ids already recorded in path.
+
+    A last line that lacks its newline or does not parse was torn by a crash
+    mid-append: it is cut from the file, with a warning, so its trial runs
+    again and the next record starts on a line of its own. A malformed line
+    anywhere else is an error.
+    """
     done = set()
-    if path.exists():
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if line:
+    if not path.exists():
+        return done
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = 0
+    for number, line in enumerate(lines, start=1):
+        try:
+            if not line.endswith(b"\n"):
+                raise ValueError("unterminated line")
+            if line.strip():
                 done.add(json.loads(line)["trial"])
+        except (ValueError, KeyError, TypeError):
+            if number < len(lines):
+                raise ValueError(f"{path}: malformed trial record on line {number}") from None
+            warnings.warn(f"{path}: dropping torn last line {number}; its trial runs again")
+            with open(path, "r+b") as fh:
+                fh.truncate(kept)
+                os.fsync(fh.fileno())
+        kept += len(line)
     return done
 
 

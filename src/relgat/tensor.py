@@ -8,6 +8,11 @@ per tape for speed runs.
 Every public op validates its inputs, checks the result for non-finite
 entries (raising OverflowError otherwise), and records a backward closure on
 the tape. ``Tape.backward`` walks the recorded ops once, in reverse order.
+
+Tensors point at their tape, never the other way round: the tape keeps leaf
+ids and shapes, and backward closures capture ids and arrays, not tensors.
+Reference counting therefore frees a tape and every array it recorded as
+soon as the last tensor on it is dropped, without the cycle collector.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ class Tape:
             raise ValueError(f"unsupported dtype {dt}; use float64 or float32")
         self.dtype = dt
         self._ops: list[_Node] = []
-        self._leaves: list[Tensor] = []
+        self._leaves: list[tuple[int, tuple[int, ...]]] = []
         self._count = 0
 
     def _next_id(self) -> int:
@@ -162,7 +167,7 @@ class Tape:
             raise OverflowError("non-finite entries in leaf value")
         arr.setflags(write=False)
         t = Tensor(self, self._next_id(), arr)
-        self._leaves.append(t)
+        self._leaves.append((t.id, arr.shape))
         return t
 
     def record(self, out: np.ndarray, backward: Callable, kink_gap: float = np.inf) -> Tensor:
@@ -194,11 +199,11 @@ class Tape:
                 continue
             node.backward(g, grads)
         out: dict[int, np.ndarray] = {}
-        for leaf in self._leaves:
-            g = grads.get(leaf.id)
+        for leaf_id, shape in self._leaves:
+            g = grads.get(leaf_id)
             if g is None:
-                g = np.zeros(leaf.shape, dtype=self.dtype)
-            out[leaf.id] = np.asarray(g, dtype=self.dtype)
+                g = np.zeros(shape, dtype=self.dtype)
+            out[leaf_id] = np.asarray(g, dtype=self.dtype)
         return GradientMap(out)
 
 
@@ -224,58 +229,73 @@ def _index_array(indices, bound: int, name: str) -> np.ndarray:
     return idx
 
 
+def _sort_by_segment_and_value(data: np.ndarray, segments: np.ndarray, counts: np.ndarray):
+    # Orders every column of a (rows, cols) matrix by (segment, value) in one
+    # pass: rank the values of each column, then sort on segment * rows + rank.
+    # Rows tied on value hold equal values, so each segment's sorted run, and
+    # any sum over it, depends only on the multiset of its values.
+    # Returns the sorted values as (cols, rows) and each non-empty segment's
+    # run start.
+    rows = data.shape[0]
+    by_column = np.ascontiguousarray(data.T)
+    by_value = np.argsort(by_column, axis=1)
+    rank = np.empty_like(by_value)
+    np.put_along_axis(rank, by_value, np.arange(rows), axis=1)
+    order = np.argsort(segments * rows + rank, axis=1)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    return np.take_along_axis(by_column, order, axis=1), starts
+
+
 def _ordered_segment_sum(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
     # Accumulates each segment in value-sorted order so the result does not
     # depend on how the rows happen to be listed.
-    if values.ndim == 1:
-        out = np.zeros(num_segments, dtype=values.dtype)
-        if values.size:
-            order = np.lexsort((values, segments))
-            np.add.at(out, segments[order], values[order])
-        return out
-    rows, cols = values.shape
-    out = np.zeros((num_segments, cols), dtype=values.dtype)
-    if rows:
-        for c in range(cols):
-            col = values[:, c]
-            order = np.lexsort((col, segments))
-            np.add.at(out[:, c], segments[order], col[order])
-    return out
+    data = values[:, None] if values.ndim == 1 else values
+    counts = np.bincount(segments, minlength=num_segments)
+    out = np.zeros((num_segments, data.shape[1]), dtype=values.dtype)
+    ordered, starts = _sort_by_segment_and_value(data, segments, counts)
+    out[counts > 0] = np.add.reduceat(ordered, starts, axis=1).T
+    return out[:, 0] if values.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
 # primitive ops
+#
+# Backward closures capture ids, shapes, dtypes and arrays, never a Tensor or
+# a Tape, so a tape's op records hold no reference back to it.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _check_tape(a, b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    a_id, a_data, b_id, b_data = a.id, a.data, b.id, b.data
+    out = a_data @ b_data
 
     def backward(g, grads):
-        _acc(grads, a.id, g @ b.data.T)
-        _acc(grads, b.id, a.data.T @ g)
+        _acc(grads, a_id, g @ b_data.T)
+        _acc(grads, b_id, a_data.T @ g)
 
     return tape.record(out, backward)
 
 
 def add(a: Tensor, b) -> Tensor:
+    a_id = a.id
     if isinstance(b, Tensor):
         tape = _check_tape(a, b)
+        b_id = b.id
         if a.shape == b.shape:
             out = a.data + b.data
 
             def backward(g, grads):
-                _acc(grads, a.id, g)
-                _acc(grads, b.id, g)
+                _acc(grads, a_id, g)
+                _acc(grads, b_id, g)
 
         elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
             out = a.data + b.data
 
             def backward(g, grads):
-                _acc(grads, a.id, g)
-                _acc(grads, b.id, g.sum(axis=0))
+                _acc(grads, a_id, g)
+                _acc(grads, b_id, g.sum(axis=0))
 
         else:
             raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
@@ -287,7 +307,7 @@ def add(a: Tensor, b) -> Tensor:
     out = a.data + const
 
     def backward(g, grads):
-        _acc(grads, a.id, g)
+        _acc(grads, a_id, g)
 
     return a.tape.record(out, backward)
 
@@ -303,25 +323,27 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
+    a_id, a_data = a.id, a.data
     if isinstance(b, Tensor):
         tape = _check_tape(a, b)
         if a.shape != b.shape:
             raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
-        out = a.data * b.data
+        b_id, b_data = b.id, b.data
+        out = a_data * b_data
 
         def backward(g, grads):
-            _acc(grads, a.id, g * b.data)
-            _acc(grads, b.id, g * a.data)
+            _acc(grads, a_id, g * b_data)
+            _acc(grads, b_id, g * a_data)
 
         return tape.record(out, backward)
 
     const = np.asarray(b, dtype=a.tape.dtype)
     if const.ndim != 0 and const.shape != a.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} * {const.shape}")
-    out = a.data * const
+    out = a_data * const
 
     def backward(g, grads):
-        _acc(grads, a.id, g * const)
+        _acc(grads, a_id, g * const)
 
     return a.tape.record(out, backward)
 
@@ -330,13 +352,13 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     """Elementwise max(x, slope*x). The subgradient at exactly 0 is slope."""
     if not 0.0 <= slope < 1.0:
         raise ValueError(f"slope must lie in [0, 1), got {slope}")
-    x = a.data
+    a_id, x = a.id, a.data
     out = np.where(x > 0, x, slope * x)
     gap = float(np.min(np.abs(x))) if x.size else np.inf
     factor = np.where(x > 0, 1.0, slope)
 
     def backward(g, grads):
-        _acc(grads, a.id, g * factor)
+        _acc(grads, a_id, g * factor)
 
     return a.tape.record(out, backward, kink_gap=gap)
 
@@ -346,20 +368,22 @@ def relu(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
+    a_id = a.id
     out = np.tanh(a.data)
 
     def backward(g, grads):
-        _acc(grads, a.id, g * (1.0 - out * out))
+        _acc(grads, a_id, g * (1.0 - out * out))
 
     return a.tape.record(out, backward)
 
 
 def log(a: Tensor) -> Tensor:
+    a_id, a_data = a.id, a.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
+        out = np.log(a_data)
 
     def backward(g, grads):
-        _acc(grads, a.id, g / a.data)
+        _acc(grads, a_id, g / a_data)
 
     return a.tape.record(out, backward)
 
@@ -368,12 +392,13 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if a.ndim != 2:
         raise ValueError(f"gather_rows expects a matrix, got shape {a.shape}")
     idx = _index_array(indices, a.shape[0], "row indices")
+    a_id, shape, dtype = a.id, a.shape, a.tape.dtype
     out = a.data[idx]
 
     def backward(g, grads):
-        buf = np.zeros(a.shape, dtype=a.tape.dtype)
+        buf = np.zeros(shape, dtype=dtype)
         np.add.at(buf, idx, g)
-        _acc(grads, a.id, buf)
+        _acc(grads, a_id, buf)
 
     return a.tape.record(out, backward)
 
@@ -382,23 +407,36 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     n = a.shape[0]
     if not (0 <= start <= stop <= n):
         raise ValueError(f"slice [{start}:{stop}] out of range for {n} rows")
+    a_id, shape, dtype = a.id, a.shape, a.tape.dtype
     out = a.data[start:stop]
 
     def backward(g, grads):
-        buf = np.zeros(a.shape, dtype=a.tape.dtype)
+        buf = np.zeros(shape, dtype=dtype)
         buf[start:stop] = g
-        _acc(grads, a.id, buf)
+        _acc(grads, a_id, buf)
 
     return a.tape.record(out, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    a_id, in_shape = a.id, a.shape
     out = a.data.reshape(shape)
 
     def backward(g, grads):
-        _acc(grads, a.id, np.asarray(g).reshape(a.shape))
+        _acc(grads, a_id, np.asarray(g).reshape(in_shape))
 
     return a.tape.record(out, backward)
+
+
+def _split_backward(parts: Sequence[Tensor], sizes: list[int], axis: int) -> Callable:
+    ids = [p.id for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g, grads):
+        for i, o, n in zip(ids, offsets, sizes):
+            _acc(grads, i, g[o:o + n] if axis == 0 else g[:, o:o + n])
+
+    return backward
 
 
 def concat_flat(parts: Sequence[Tensor]) -> Tensor:
@@ -407,15 +445,8 @@ def concat_flat(parts: Sequence[Tensor]) -> Tensor:
     tape = _check_tape(*parts)
     if any(p.ndim != 1 for p in parts):
         raise ValueError("concat_flat expects flat tensors")
-    sizes = [p.size for p in parts]
-    offsets = np.cumsum([0] + sizes)
-    out = np.concatenate([p.data for p in parts]) if parts else np.zeros(0)
-
-    def backward(g, grads):
-        for p, o, n in zip(parts, offsets, sizes):
-            _acc(grads, p.id, g[o:o + n])
-
-    return tape.record(out, backward)
+    out = np.concatenate([p.data for p in parts])
+    return tape.record(out, _split_backward(parts, [p.size for p in parts], 0))
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -425,15 +456,8 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     cols = {p.shape[1] for p in parts if p.ndim == 2}
     if any(p.ndim != 2 for p in parts) or len(cols) != 1:
         raise ValueError("concat_rows expects matrices with equal column counts")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
     out = np.concatenate([p.data for p in parts], axis=0)
-
-    def backward(g, grads):
-        for p, o, n in zip(parts, offsets, sizes):
-            _acc(grads, p.id, g[o:o + n])
-
-    return tape.record(out, backward)
+    return tape.record(out, _split_backward(parts, [p.shape[0] for p in parts], 0))
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -443,42 +467,38 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     rows = {p.shape[0] for p in parts if p.ndim == 2}
     if any(p.ndim != 2 for p in parts) or len(rows) != 1:
         raise ValueError("concat_cols expects matrices with equal row counts")
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
     out = np.concatenate([p.data for p in parts], axis=1)
-
-    def backward(g, grads):
-        for p, o, n in zip(parts, offsets, sizes):
-            _acc(grads, p.id, g[:, o:o + n])
-
-    return tape.record(out, backward)
+    return tape.record(out, _split_backward(parts, [p.shape[1] for p in parts], 1))
 
 
 def rowsum(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ValueError(f"rowsum expects a matrix, got shape {a.shape}")
+    a_id, shape = a.id, a.shape
     out = a.data.sum(axis=1)
 
     def backward(g, grads):
-        _acc(grads, a.id, np.broadcast_to(g[:, None], a.shape))
+        _acc(grads, a_id, np.broadcast_to(g[:, None], shape))
 
     return a.tape.record(out, backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
+    a_id, shape = a.id, a.shape
     out = np.asarray(a.data.sum(), dtype=a.tape.dtype)
 
     def backward(g, grads):
-        _acc(grads, a.id, np.broadcast_to(g, a.shape))
+        _acc(grads, a_id, np.broadcast_to(g, shape))
 
     return a.tape.record(out, backward)
 
 
 def sum_squares(a: Tensor) -> Tensor:
-    out = np.asarray((a.data * a.data).sum(), dtype=a.tape.dtype)
+    a_id, a_data = a.id, a.data
+    out = np.asarray((a_data * a_data).sum(), dtype=a.tape.dtype)
 
     def backward(g, grads):
-        _acc(grads, a.id, 2.0 * g * a.data)
+        _acc(grads, a_id, 2.0 * g * a_data)
 
     return a.tape.record(out, backward)
 
@@ -487,31 +507,38 @@ def scale_rows(m: Tensor, v) -> Tensor:
     """Multiplies row i of m by v[i]. v may be a Tensor or a constant array."""
     if m.ndim != 2:
         raise ValueError(f"scale_rows expects a matrix, got shape {m.shape}")
+    m_id, m_data = m.id, m.data
     if isinstance(v, Tensor):
         tape = _check_tape(m, v)
         if v.ndim != 1 or v.size != m.shape[0]:
             raise ValueError(f"row scale shape mismatch: {m.shape} vs {v.shape}")
-        out = m.data * v.data[:, None]
+        v_id, column = v.id, v.data[:, None]
+        out = m_data * column
 
         def backward(g, grads):
-            _acc(grads, m.id, g * v.data[:, None])
-            _acc(grads, v.id, (g * m.data).sum(axis=1))
+            _acc(grads, m_id, g * column)
+            _acc(grads, v_id, (g * m_data).sum(axis=1))
 
         return tape.record(out, backward)
 
     c = np.asarray(v, dtype=m.tape.dtype)
     if c.ndim != 1 or c.size != m.shape[0]:
         raise ValueError(f"row scale shape mismatch: {m.shape} vs {c.shape}")
-    out = m.data * c[:, None]
+    column = c[:, None]
+    out = m_data * column
 
     def backward(g, grads):
-        _acc(grads, m.id, g * c[:, None])
+        _acc(grads, m_id, g * column)
 
     return m.tape.record(out, backward)
 
 
 def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum") -> Tensor:
-    """Per-segment sum, mean or max over rows. Empty segments yield zero rows."""
+    """Per-segment sum, mean or max over rows. Empty segments yield zero rows.
+
+    Sums accumulate each segment in value-sorted order, so the result is
+    bitwise independent of the order the rows are listed in.
+    """
     if mode not in ("sum", "mean", "max"):
         raise ValueError(f"unknown reduce mode {mode!r}")
     if values.ndim not in (1, 2):
@@ -525,7 +552,7 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
     flat_in = values.ndim == 1
     data = values.data[:, None] if flat_in else values.data
     cols = data.shape[1]
-    tape = values.tape
+    values_id, dtype = values.id, values.tape.dtype
     counts = np.bincount(segs, minlength=num_segments)
 
     if mode in ("sum", "mean"):
@@ -540,53 +567,38 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
             pulled = g2[segs]
             if mode == "mean":
                 pulled = pulled / np.maximum(counts, 1)[segs, None]
-            _acc(grads, values.id, pulled[:, 0] if flat_in else pulled)
+            _acc(grads, values_id, pulled[:, 0] if flat_in else pulled)
 
         out_final = out[:, 0] if flat_in else out
-        return tape.record(out_final, backward)
+        return values.tape.record(out_final, backward)
 
     # max: gradient routes to the first maximal row entry of each segment
-    maxed = np.full((num_segments, cols), -np.inf)
-    if rows:
-        np.maximum.at(maxed, segs, data)
-    empty = counts == 0
-    out = maxed.copy()
-    out[empty] = 0.0
-
-    winner = np.full((num_segments, cols), -1, dtype=np.int64)
-    gap = np.inf
-    if rows:
-        for c in range(cols):
-            col = data[:, c]
-            hit = col == maxed[segs, c]
-            w = np.full(num_segments, rows, dtype=np.int64)
-            np.minimum.at(w, segs[hit], np.flatnonzero(hit))
-            winner[:, c] = np.where(empty, -1, w)
-            # distance between the top two values bounds how safe a
-            # finite-difference probe is around this max
-            order = np.lexsort((col, segs))
-            ss = segs[order]
-            vv = col[order]
-            run_end = np.flatnonzero(np.diff(ss))
-            last = np.concatenate([run_end, [len(ss) - 1]])
-            starts = np.concatenate([[0], last[:-1] + 1])
-            cand = last[last - starts >= 1]
-            if cand.size:
-                gap = min(gap, float(np.min(vv[cand] - vv[cand - 1])))
+    nonempty = counts > 0
+    ordered, starts = _sort_by_segment_and_value(data, segs, counts)
+    ends = starts + counts[nonempty] - 1
+    top = ordered[:, ends]
+    out = np.zeros((num_segments, cols), dtype=data.dtype)
+    out[nonempty] = top.T
+    # distance between the top two values bounds how safe a
+    # finite-difference probe is around this max
+    multi = counts[nonempty] >= 2
+    gap = float(np.min(top[:, multi] - ordered[:, ends[multi] - 1])) if multi.any() else np.inf
+    hit_rows, hit_cols = np.nonzero(data == out[segs])
+    first = np.full((num_segments, cols), rows, dtype=np.int64)
+    np.minimum.at(first, (segs[hit_rows], hit_cols), hit_rows)
+    win_segs, win_cols = np.nonzero(first < rows)
+    win_rows = first[win_segs, win_cols]
 
     def backward(g, grads):
         g2 = np.asarray(g)
         if flat_in:
             g2 = g2[:, None]
-        buf = np.zeros(data.shape, dtype=tape.dtype)
-        for c in range(cols):
-            w = winner[:, c]
-            ok = w >= 0
-            buf[w[ok], c] += g2[ok, c]
-        _acc(grads, values.id, buf[:, 0] if flat_in else buf)
+        buf = np.zeros((rows, cols), dtype=dtype)
+        buf[win_rows, win_cols] = g2[win_segs, win_cols]
+        _acc(grads, values_id, buf[:, 0] if flat_in else buf)
 
     out_final = out[:, 0] if flat_in else out
-    return tape.record(out_final, backward, kink_gap=gap)
+    return values.tape.record(out_final, backward, kink_gap=gap)
 
 
 def segment_softmax(logits: Tensor, segments) -> Tensor:
@@ -603,7 +615,7 @@ def segment_softmax(logits: Tensor, segments) -> Tensor:
         raise ValueError("segment ids must align with the logits")
     if segs.size and segs.min() < 0:
         raise ValueError("segment ids must be non-negative")
-    tape = logits.tape
+    logits_id, dtype = logits.id, logits.tape.dtype
     n = int(segs.max()) + 1 if segs.size else 0
     x = logits.data
     if x.size:
@@ -613,30 +625,30 @@ def segment_softmax(logits: Tensor, segments) -> Tensor:
         denom = _ordered_segment_sum(e, segs, n)
         y = e / denom[segs]
     else:
-        y = np.zeros(0, dtype=tape.dtype)
+        y = np.zeros(0, dtype=dtype)
 
     def backward(g, grads):
         if y.size == 0:
-            _acc(grads, logits.id, np.zeros(0, dtype=tape.dtype))
+            _acc(grads, logits_id, np.zeros(0, dtype=dtype))
             return
         s = _ordered_segment_sum(y * g, segs, n)
-        _acc(grads, logits.id, y * (g - s[segs]))
+        _acc(grads, logits_id, y * (g - s[segs]))
 
-    return tape.record(y, backward)
+    return logits.tape.record(y, backward)
 
 
 def row_softmax(m: Tensor) -> Tensor:
     """Softmax along each row of a matrix, stabilized by the row max."""
     if m.ndim != 2:
         raise ValueError(f"row_softmax expects a matrix, got shape {m.shape}")
-    x = m.data
+    m_id, x = m.id, m.data
     mx = x.max(axis=1, keepdims=True) if x.size else np.zeros((x.shape[0], 1))
     e = np.exp(x - mx)
     y = e / e.sum(axis=1, keepdims=True)
 
     def backward(g, grads):
         s = (y * g).sum(axis=1, keepdims=True)
-        _acc(grads, m.id, y * (g - s))
+        _acc(grads, m_id, y * (g - s))
 
     return m.tape.record(y, backward)
 

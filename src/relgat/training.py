@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GraphTask, NodeTask, batch_graphs
+from .graph import BatchedGraph, GraphTask, NodeTask, batch_graphs
 from .models import (
     GraphClassifier,
     NodeClassifier,
@@ -212,7 +212,7 @@ def _node_loss(
 
 def _graph_loss(
     model: GraphClassifier,
-    graphs,
+    batch: BatchedGraph,
     labels: np.ndarray,
     weights: np.ndarray,
     params,
@@ -223,7 +223,6 @@ def _graph_loss(
     edge_dropout: float = 0.0,
     constant: bool = False,
 ):
-    batch = batch_graphs(list(graphs))
     g = batch.graph
     edges = g.edges
     input_mask = None
@@ -290,30 +289,46 @@ def evaluate(model, task, split: str = "test", *, constant: bool = False, weight
     if isinstance(model, GraphClassifier):
         if not isinstance(task, GraphTask):
             raise TypeError("graph model needs a graph task")
-        ids = np.asarray(task.split.part(split), dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError(f"split {split!r} is empty")
+        batch, labels = _split_batch(task, split)
         w = _resolve_weights(model, task) if weights is None else np.asarray(weights)
-        graphs = [task.graphs[int(i)] for i in ids]
-        labels = task.labels.graph_classes[ids]
-        _, _, loss, probs = _graph_loss(model, graphs, labels, w, params, constant=constant)
-        t = model.config.num_tasks
-        p = probs.data.reshape(len(ids), t, model.config.num_classes)
-        labelled = labels >= 0
-        pred = p.argmax(axis=2)
-        accuracy = float(np.mean(pred[labelled] == labels[labelled]))
-        out = {"loss": float(loss.data), "accuracy": accuracy}
-        if model.config.num_classes == 2:
-            aucs = []
-            for j in range(t):
-                m = labelled[:, j]
-                aucs.append(roc_auc(p[m, j, 1], labels[m, j]) if m.any() else math.nan)
-            out["auc"] = aucs
-            finite = [a for a in aucs if not math.isnan(a)]
-            out["auc_mean"] = float(np.mean(finite)) if finite else math.nan
-        return out
+        return _graph_metrics(model, params, batch, labels, w, constant=constant)
 
     raise TypeError(f"unknown model type {type(model).__name__}")
+
+
+def _split_batch(task: GraphTask, split: str) -> tuple[BatchedGraph, np.ndarray]:
+    """One batch of a split's graphs, plus their (graphs, tasks) labels."""
+    ids = np.asarray(task.split.part(split), dtype=np.int64)
+    if ids.size == 0:
+        raise ValueError(f"split {split!r} is empty")
+    return batch_graphs([task.graphs[int(i)] for i in ids]), task.labels.graph_classes[ids]
+
+
+def _graph_metrics(
+    model: GraphClassifier,
+    params,
+    batch: BatchedGraph,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    *,
+    constant: bool = False,
+) -> dict:
+    _, _, loss, probs = _graph_loss(model, batch, labels, weights, params, constant=constant)
+    t = model.config.num_tasks
+    p = probs.data.reshape(batch.graph_count, t, model.config.num_classes)
+    labelled = labels >= 0
+    pred = p.argmax(axis=2)
+    accuracy = float(np.mean(pred[labelled] == labels[labelled]))
+    out = {"loss": float(loss.data), "accuracy": accuracy}
+    if model.config.num_classes == 2:
+        aucs = []
+        for j in range(t):
+            m = labelled[:, j]
+            aucs.append(roc_auc(p[m, j, 1], labels[m, j]) if m.any() else math.nan)
+        out["auc"] = aucs
+        finite = [a for a in aucs if not math.isnan(a)]
+        out["auc_mean"] = float(np.mean(finite)) if finite else math.nan
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +459,9 @@ def _train_graph(model: GraphClassifier, task: GraphTask, config: TrainConfig) -
     if train_ids.size == 0:
         raise ValueError("train split is empty")
     weights = _resolve_weights(model, task)
-    has_val = len(task.split.validation) > 0
+    # evaluation batches are built once; the parameters change, the graphs do not
+    train_eval = _split_batch(task, "train")
+    val_eval = _split_batch(task, "validation") if task.split.validation else None
 
     history: list[dict] = []
     best = -np.inf
@@ -459,14 +476,13 @@ def _train_graph(model: GraphClassifier, task: GraphTask, config: TrainConfig) -
         n_batches = 0
         for start in range(0, shuffled.size, config.batch_size):
             batch_ids = shuffled[start : start + config.batch_size]
-            graphs = [task.graphs[int(i)] for i in batch_ids]
             labels = task.labels.graph_classes[batch_ids]
             if not (labels >= 0).any():
                 continue
             try:
                 tape, leaves, loss, _ = _graph_loss(
                     model,
-                    graphs,
+                    batch_graphs([task.graphs[int(i)] for i in batch_ids]),
                     labels,
                     weights,
                     params,
@@ -485,14 +501,10 @@ def _train_graph(model: GraphClassifier, task: GraphTask, config: TrainConfig) -
             epoch_loss += float(loss.data)
             n_batches += 1
 
-        model_params, model.params = model.params, params
-        try:
-            train_metrics = evaluate(model, task, "train", weights=weights)
-            val_metrics = (
-                evaluate(model, task, "validation", weights=weights) if has_val else None
-            )
-        finally:
-            model.params = model_params
+        train_metrics = _graph_metrics(model, params, *train_eval, weights)
+        val_metrics = (
+            _graph_metrics(model, params, *val_eval, weights) if val_eval is not None else None
+        )
         record = {
             "epoch": epoch,
             "train_loss": epoch_loss / max(n_batches, 1),

@@ -155,6 +155,28 @@ def test_eval_matches_library_evaluation(tmp_path, capsys):
     assert report["metrics"]["loss"] == direct["loss"]
 
 
+def test_eval_rejects_checkpoint_with_missing_or_reshaped_parameter(tmp_path, capsys):
+    data = _gen(tmp_path)
+    out = _train(tmp_path, data, "run")
+    manifest_path = out / "manifest.json"
+    original = json.loads(manifest_path.read_text())
+    args = ["eval", "--data", str(data), "--checkpoint", str(out)]
+
+    manifest = json.loads(json.dumps(original))
+    dropped = manifest["parameters"].pop(0)["name"]
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert dropped in capsys.readouterr().err
+
+    manifest = json.loads(json.dumps(original))
+    entry = manifest["parameters"][0]
+    entry["shape"] = [int(np.prod(entry["shape"]))]
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(args) == 2
+    assert "wrong shape" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2

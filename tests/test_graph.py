@@ -13,6 +13,7 @@ from relgat.graph import (
     GraphTask,
     LabelSet,
     NodeTask,
+    RelGraph,
     Split,
     batch_graphs,
     build_graph,
@@ -23,6 +24,8 @@ from relgat.graph import (
     serialize_graph,
     with_self_relation,
 )
+from relgat.models import GraphClassifier, GraphClassifierConfig, bind_params
+from relgat.tensor import Tape
 
 
 def _features(n, f, seed=0):
@@ -171,6 +174,69 @@ def test_batch_graphs_rejects_mismatches():
     g3 = build_graph(2, 1, [], _features(2, 4))
     with pytest.raises(GraphFormatError):
         batch_graphs([g1, g3])
+
+
+def _direct_member(targets, sources):
+    # bypasses build_graph, so nothing has checked or sorted these edges
+    edges = (
+        (np.array(targets, dtype=np.int64), np.array(sources, dtype=np.int64)),
+        (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    )
+    return RelGraph(3, 2, edges, _features(3, 2, 1), 2)
+
+
+def test_batch_graphs_checks_directly_built_members():
+    good = build_graph(3, 2, [[0, 1, 0]], _features(3, 2))
+    # node 3 of the first member would land on node 0 of the second
+    with pytest.raises(GraphFormatError, match="out of range"):
+        batch_graphs([_direct_member([0], [3]), good])
+    with pytest.raises(GraphFormatError, match="out of range"):
+        batch_graphs([good, _direct_member([-1], [0])])
+    with pytest.raises(GraphFormatError, match="duplicate"):
+        batch_graphs([good, _direct_member([1, 1], [2, 2])])
+    merged = batch_graphs([good, _direct_member([2, 0], [0, 1])]).graph
+    t0, s0 = merged.edges[0]
+    assert list(t0) == [1, 3, 5] and list(s0) == [0, 4, 3]
+
+
+@pytest.mark.parametrize(
+    "logit_mode, norm_kind", [("additive", "wirgat"), ("multiplicative", "argat")]
+)
+@pytest.mark.parametrize("constant", [False, True])
+def test_batched_forward_matches_per_graph_forward(logit_mode, norm_kind, constant):
+    pairs = generate_planted(5, 6, 7, 4, feature_dim=3, noise_edges=8)
+    graphs = [with_self_relation(g) for g, _ in pairs]
+    config = GraphClassifierConfig(
+        feature_dim=3,
+        num_relations=5,
+        num_tasks=2,
+        num_classes=3,
+        graph_units=8,
+        dense_units=6,
+        heads=2,
+        logit_mode=logit_mode,
+        norm_kind=norm_kind,
+    )
+    model = GraphClassifier(np.random.default_rng(0), config)
+
+    def probs(members):
+        batch = batch_graphs(members)
+        g = batch.graph
+        tape = Tape()
+        return model.forward(
+            bind_params(tape, model.params),
+            g.edges,
+            g.num_nodes,
+            tape.leaf(g.features),
+            batch.graph_segment,
+            batch.graph_count,
+            constant=constant,
+        ).data
+
+    together = probs(graphs)
+    apart = np.concatenate([probs([g]) for g in graphs])
+    assert together.shape == (6 * 2, 3)
+    assert np.allclose(together, apart, rtol=0.0, atol=1e-12)
 
 
 def test_generate_planted_structure():

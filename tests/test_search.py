@@ -150,6 +150,27 @@ def test_run_sweep_resume_skips_done_trials(tmp_path):
     assert path.read_text().startswith(text_before)
 
 
+def test_run_sweep_resume_drops_torn_last_line(tmp_path):
+    task = _tiny_task()
+    budget = {"epochs": 2, "patience": 2}
+    clean = run_sweep(task, _TINY_SPACE, 3, 11, tmp_path / "clean.jsonl", overrides=budget)
+    lines = (tmp_path / "clean.jsonl").read_text().splitlines(keepends=True)
+    path = tmp_path / "torn.jsonl"
+    # trials 0 and 1 landed; the append of trial 2 stopped half way
+    torn = next(line for line in lines if json.loads(line)["trial"] == 2)
+    kept = [line for line in lines if json.loads(line)["trial"] != 2]
+    path.write_text("".join(kept) + torn[: len(torn) // 2])
+    with pytest.warns(UserWarning, match="torn last line 3"):
+        resumed = run_sweep(task, _TINY_SPACE, 3, 11, path, overrides=budget)
+    assert resumed == clean
+    assert sorted(path.read_text().splitlines()) == sorted(line.rstrip("\n") for line in lines)
+
+    # only the last line may be torn
+    path.write_text(torn[: len(torn) // 2] + "\n" + "".join(kept))
+    with pytest.raises(ValueError, match="malformed trial record on line 1"):
+        run_sweep(task, _TINY_SPACE, 3, 11, path, overrides=budget)
+
+
 def test_run_sweep_records_are_reproducible(tmp_path):
     task = _tiny_task()
     a = run_sweep(

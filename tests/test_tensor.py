@@ -257,6 +257,90 @@ def test_segment_sum_is_permutation_invariant_bitwise(data):
     assert np.array_equal(a, b)
 
 
+def _reference_segment_sum(values, segments, num_segments):
+    # one lexsort plus np.add.at per column: (segment, value) order
+    out = np.zeros((num_segments, values.shape[1]))
+    for c in range(values.shape[1]):
+        col = values[:, c]
+        order = np.lexsort((col, segments))
+        np.add.at(out[:, c], segments[order], col[order])
+    return out
+
+
+def _reference_segment_max(values, segments, num_segments):
+    # per column: the first row holding each segment's max, and the smallest
+    # gap between a segment's top two values
+    rows, cols = values.shape
+    winner = np.full((num_segments, cols), -1)
+    gap = np.inf
+    for c in range(cols):
+        for s in range(num_segments):
+            members = np.flatnonzero(segments == s)
+            if members.size == 0:
+                continue
+            col = values[members, c]
+            winner[s, c] = members[np.argmax(col)]
+            if members.size >= 2:
+                top_two = np.sort(col)[-2:]
+                gap = min(gap, top_two[1] - top_two[0])
+    return winner, gap
+
+
+def _segment_case(data, max_rows=40, max_cols=5, num_segments=7):
+    rows = data.draw(st.integers(1, max_rows))
+    cols = data.draw(st.integers(1, max_cols))
+    # few distinct values so ties inside a segment are common
+    pool = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
+    values = np.array(
+        data.draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    # segments 0 and num_segments - 1 stay empty
+    segs = np.array(
+        data.draw(st.lists(st.integers(1, num_segments - 2), min_size=rows, max_size=rows))
+    )
+    perm = np.array(data.draw(st.permutations(range(rows))))
+    return values, segs, perm
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_segment_sum_and_mean_matrix_match_reference_and_ignore_row_order(data):
+    values, segs, perm = _segment_case(data)
+    divisor = np.maximum(np.bincount(segs, minlength=7), 1)[:, None]
+    reference = _reference_segment_sum(values, segs, 7)
+    # summation order may differ from the reference, so compare relative to
+    # the segment's sum of magnitudes
+    scale = 1e-12 * _reference_segment_sum(np.abs(values), segs, 7)
+    for mode, expected, tol in (
+        ("sum", reference, scale),
+        ("mean", reference / divisor, scale / divisor),
+    ):
+        a = segment_reduce(Tape().leaf(values), segs, 7, mode).data
+        b = segment_reduce(Tape().leaf(values[perm]), segs[perm], 7, mode).data
+        assert np.array_equal(a, b)
+        assert np.all(np.abs(a - expected) <= tol)
+        assert not a[0].any() and not a[6].any()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_segment_max_matrix_winners_and_gap_match_reference(data):
+    values, segs, _ = _segment_case(data)
+    winner, gap = _reference_segment_max(values, segs, 7)
+    tape = Tape()
+    v = tape.leaf(values)
+    out = segment_reduce(v, segs, 7, "max")
+    grads = tape.backward(sum_all(out))
+    expected_grad = np.zeros_like(values)
+    seg_idx, col_idx = np.nonzero(winner >= 0)
+    expected_grad[winner[seg_idx, col_idx], col_idx] = 1.0
+    assert np.array_equal(grads[v], expected_grad)
+    expected_out = np.zeros((7, values.shape[1]))
+    expected_out[seg_idx, col_idx] = values[winner[seg_idx, col_idx], col_idx]
+    assert np.array_equal(out.data, expected_out)
+    assert tape.min_kink_gap() == gap
+
+
 def test_row_softmax_rows_sum_to_one():
     tape = Tape()
     out = row_softmax(tape.leaf([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))

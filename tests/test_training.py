@@ -1,16 +1,20 @@
 """Optimizer math, dropout semantics, metric computation, determinism and
 the early-stopping protocol."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from relgat import training
 from relgat.graph import (
     GraphTask,
     LabelSet,
     NodeTask,
     Split,
+    batch_graphs,
     build_graph,
     generate_planted,
     with_self_relation,
@@ -20,7 +24,10 @@ from relgat.models import (
     GraphClassifierConfig,
     NodeClassifier,
     NodeClassifierConfig,
+    bind_params,
+    weighted_cross_entropy,
 )
+from relgat.tensor import Tape
 from relgat.training import (
     AdamState,
     DivergenceError,
@@ -285,6 +292,41 @@ def test_graph_evaluate_respects_class_weights_override():
     a = evaluate(model, task, "test", weights=w_balanced)["loss"]
     b = evaluate(model, task, "test", weights=w_skew)["loss"]
     assert a != b
+
+
+def test_tapes_are_freed_without_the_cycle_collector(monkeypatch):
+    tapes = []
+
+    class TrackedTape(Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(training, "Tape", TrackedTape)
+    model, task = _graph_task()
+    state = AdamState(model.params)
+    gc.collect()
+    gc.disable()
+    try:
+        tape = TrackedTape()
+        leaves = bind_params(tape, model.params)
+        batch = batch_graphs(list(task.graphs[:4]))
+        g = batch.graph
+        probs = model.forward(
+            leaves, g.edges, g.num_nodes, tape.leaf(g.features), batch.graph_segment, 4
+        )
+        loss = weighted_cross_entropy(probs, task.labels.graph_classes[:4], np.ones((1, 2)))
+        grads = tape.backward(loss)
+        adam_step(model.params, {k: grads[leaves[k]] for k in model.params}, state, 0.01)
+        evaluate(model, task, "validation")
+        evaluate(model, task, "test", constant=True)
+        cfg = TrainConfig(epochs=2, patience=2, batch_size=4, feature_dropout=0.2, edge_dropout=0.2)
+        train(model, task, cfg)
+        del tape, leaves, probs, loss, grads
+        assert len(tapes) > 5
+        assert [ref for ref in tapes if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_train_config_validation():
