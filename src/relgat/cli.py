@@ -238,6 +238,8 @@ def _rebuild_model(manifest: dict):
 def _cmd_eval(args) -> int:
     task = parse_dataset(Path(args.data).read_text())
     params, manifest = load_checkpoint(args.checkpoint)
+    if config_hash(manifest["config"]) != manifest.get("config_hash"):
+        raise GraphFormatError("checkpoint config does not match its config_hash")
     model = _rebuild_model(manifest)
     missing = sorted(model.params.keys() - params.keys())
     if missing:

@@ -48,9 +48,7 @@ __all__ = [
     "attention_coefficients",
     "attention_logits",
     "compose_kernels",
-    "degree_rgcn_forward",
     "glorot",
-    "intermediate_representations",
     "rgcn_forward",
 ]
 
@@ -76,11 +74,6 @@ def _apply_activation(t: Tensor, activation: str) -> Tensor:
     if activation == "identity":
         return t
     raise ValueError(f"unknown activation {activation!r}")
-
-
-def intermediate_representations(h: Tensor, kernel: Tensor) -> Tensor:
-    """Projects node features through one relation kernel: G = H W."""
-    return matmul(h, kernel)
 
 
 def compose_kernels(coefficients: Tensor, bases: Tensor, index: int, shape: tuple[int, int]) -> Tensor:
@@ -377,7 +370,7 @@ class RgatLayer:
             logit_parts: list[Tensor] | None = None if constant else []
             for r in range(self.num_relations):
                 w, a = self.kernels(leaves, r, k)
-                g = intermediate_representations(h, w)
+                g = matmul(h, w)
                 projected.append(g)
                 if not constant:
                     logit_parts.append(
@@ -442,43 +435,3 @@ def rgcn_forward(
     if bias is not None:
         acc = add(acc, bias)
     return _apply_activation(acc, activation)
-
-
-def degree_rgcn_forward(
-    edges: tuple[np.ndarray, np.ndarray],
-    num_nodes: int,
-    h: Tensor,
-    self_kernels: Sequence[Tensor],
-    neighbor_kernels: Sequence[Tensor],
-    biases: Sequence[Tensor],
-    *,
-    activation: str = "identity",
-) -> Tensor:
-    """Single-relation propagation with degree-specific kernels.
-
-    Node i with in-degree d uses self kernel W_d on its own features, kernel
-    U_d on the sum of its neighbors' features, plus bias b_d. Degrees above
-    the largest provided index share the last kernel triple.
-    """
-    n_kernels = len(self_kernels)
-    if n_kernels == 0 or len(neighbor_kernels) != n_kernels or len(biases) != n_kernels:
-        raise ValueError("missing degree kernel: self/neighbor/bias lists must align")
-    tgt = np.asarray(edges[0], dtype=np.int64)
-    src = np.asarray(edges[1], dtype=np.int64)
-    if num_nodes == 0:
-        return _apply_activation(matmul(h, self_kernels[0]), activation)
-    deg = np.bincount(tgt, minlength=num_nodes)
-    deg = np.minimum(deg, n_kernels - 1)
-    neighbor_sums = segment_reduce(gather_rows(h, src), tgt, num_nodes, "sum")
-    parts = []
-    order = []
-    for d in np.unique(deg):
-        idx = np.flatnonzero(deg == d)
-        own = matmul(gather_rows(h, idx), self_kernels[d])
-        nbr = matmul(gather_rows(neighbor_sums, idx), neighbor_kernels[d])
-        parts.append(add(add(own, nbr), biases[d]))
-        order.append(idx)
-    stacked = parts[0] if len(parts) == 1 else concat_rows(parts)
-    positions = np.empty(num_nodes, dtype=np.int64)
-    positions[np.concatenate(order)] = np.arange(num_nodes)
-    return _apply_activation(gather_rows(stacked, positions), activation)

@@ -145,6 +145,22 @@ def weighted_cross_entropy(probs: Tensor, graph_labels, weights) -> Tensor:
     return mul(sum_all(mul(log(picked), factors)), -1.0 / gi.size)
 
 
+class _TwoLayerModel:
+    """What both classifiers share: two attention layers, whose W and A
+    kernels form the four L2 groups."""
+
+    layer1: RgatLayer
+    layer2: RgatLayer
+
+    def l2_groups(self) -> dict[str, list[str]]:
+        return {
+            "layer1_w": self.layer1.w_parameter_names(),
+            "layer1_a": self.layer1.a_parameter_names(),
+            "layer2_w": self.layer2.w_parameter_names(),
+            "layer2_a": self.layer2.a_parameter_names(),
+        }
+
+
 # ---------------------------------------------------------------------------
 # node classification
 
@@ -173,7 +189,7 @@ class NodeClassifierConfig:
         return cls(**d)
 
 
-class NodeClassifier:
+class NodeClassifier(_TwoLayerModel):
     """Two attention layers ending in per-node class probabilities.
 
     Layer 1 concatenates heads and applies relu; layer 2 averages heads,
@@ -230,14 +246,6 @@ class NodeClassifier:
         self.params.update(self.layer1.params)
         self.params.update(self.layer2.params)
 
-    def l2_groups(self) -> dict[str, list[str]]:
-        return {
-            "layer1_w": self.layer1.w_parameter_names(),
-            "layer1_a": self.layer1.a_parameter_names(),
-            "layer2_w": self.layer2.w_parameter_names(),
-            "layer2_a": self.layer2.a_parameter_names(),
-        }
-
     def forward(
         self,
         leaves: dict[str, Tensor],
@@ -292,7 +300,7 @@ class GraphClassifierConfig:
         return cls(**d)
 
 
-class GraphClassifier:
+class GraphClassifier(_TwoLayerModel):
     """Two concatenating attention layers, a mean/max pool squashed by tanh,
     then two dense layers producing one C-way distribution per task."""
 
@@ -335,14 +343,6 @@ class GraphClassifier:
         self.params["dense1.b"] = np.zeros(config.dense_units)
         self.params["dense2.w"] = glorot(rng, config.dense_units, out_width)
         self.params["dense2.b"] = np.zeros(out_width)
-
-    def l2_groups(self) -> dict[str, list[str]]:
-        return {
-            "layer1_w": self.layer1.w_parameter_names(),
-            "layer1_a": self.layer1.a_parameter_names(),
-            "layer2_w": self.layer2.w_parameter_names(),
-            "layer2_a": self.layer2.a_parameter_names(),
-        }
 
     def forward(
         self,

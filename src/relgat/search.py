@@ -4,7 +4,8 @@ A search space is an ordered mapping of names to priors. Configurations are
 sampled with an independent generator per trial, seeded from (master_seed,
 trial_id), so any subset of trials can be reproduced without running the
 others. Results append to a JSONL file, one fsynced line per trial, and a
-rerun skips trial ids already present.
+rerun skips trial ids already present once it has checked that they were
+recorded by the same sweep.
 """
 
 from __future__ import annotations
@@ -348,15 +349,15 @@ def _graph_objective(task, config, variant, model_seed, train_seed, overrides, f
     }
 
 
-def _completed_trials(path: Path) -> set[int]:
-    """Trial ids already recorded in path.
+def _completed_trials(path: Path) -> dict[int, dict]:
+    """Records already in path, by trial id.
 
     A last line that lacks its newline or does not parse was torn by a crash
     mid-append: it is cut from the file, with a warning, so its trial runs
     again and the next record starts on a line of its own. A malformed line
     anywhere else is an error.
     """
-    done = set()
+    done = {}
     if not path.exists():
         return done
     lines = path.read_bytes().splitlines(keepends=True)
@@ -366,7 +367,8 @@ def _completed_trials(path: Path) -> set[int]:
             if not line.endswith(b"\n"):
                 raise ValueError("unterminated line")
             if line.strip():
-                done.add(json.loads(line)["trial"])
+                record = json.loads(line)
+                done[record["trial"]] = record
         except (ValueError, KeyError, TypeError):
             if number < len(lines):
                 raise ValueError(f"{path}: malformed trial record on line {number}") from None
@@ -376,6 +378,24 @@ def _completed_trials(path: Path) -> set[int]:
                 os.fsync(fh.fileno())
         kept += len(line)
     return done
+
+
+def _check_resumed(path: Path, record: dict, space: dict, master_seed: int, variant: dict) -> None:
+    """A kept record must hold the seed, variant and configuration that this
+    sweep derives for its trial id; otherwise the file belongs to another
+    sweep and resuming it would mix the two."""
+    trial = record["trial"]
+    sample_seed, _, train_seed = trial_seeds(master_seed, trial)
+    expected = {
+        "seed": train_seed,
+        "variant": variant,
+        "config_hash": config_hash(sample_config(space, np.random.default_rng(sample_seed))),
+    }
+    for key, value in expected.items():
+        if record.get(key) != value:
+            raise ValueError(
+                f"{path}: trial {trial} was recorded by a different sweep ({key} differs)"
+            )
 
 
 def _append_record(path: Path, record: dict) -> None:
@@ -400,14 +420,19 @@ def run_sweep(
     fold_limit: int | None = None,
 ) -> list[dict]:
     """Runs (or resumes) a random search and returns all records in trial
-    order. Trials already present in record_path are not recomputed."""
+    order. Trials already present in record_path are not recomputed; a
+    record whose seed, variant or configuration differs from what this call
+    derives for its trial id raises ValueError."""
     if num_trials < 1:
         raise ValueError("need at least one trial")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
     path = Path(record_path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    variant = {"logit_mode": logit_mode, "norm_kind": norm_kind}
     done = _completed_trials(path)
+    for record in done.values():
+        _check_resumed(path, record, space, master_seed, variant)
     pending = [i for i in range(num_trials) if i not in done]
     dataset = serialize_dataset(task)
     payloads = [
@@ -416,7 +441,7 @@ def run_sweep(
             "master_seed": master_seed,
             "space": {name: prior.to_dict() for name, prior in space.items()},
             "dataset": dataset,
-            "variant": {"logit_mode": logit_mode, "norm_kind": norm_kind},
+            "variant": variant,
             "overrides": overrides,
             "folds": folds,
             "fold_limit": fold_limit,

@@ -1,9 +1,8 @@
 """Flat and 2-D tensors recorded on a tape, with reverse-mode gradients.
 
 Everything the graph layers need is expressible with scalars, vectors and
-matrices, so shapes are restricted to ndim <= 2. The default precision is
-float64 so finite-difference checks are meaningful; float32 can be selected
-per tape for speed runs.
+matrices, so shapes are restricted to ndim <= 2. Every tensor is float64 so
+finite-difference checks are meaningful.
 
 Every public op validates its inputs, checks the result for non-finite
 entries (raising OverflowError otherwise), and records a backward closure on
@@ -50,9 +49,6 @@ __all__ = [
     "sum_squares",
     "tanh",
 ]
-
-_ALLOWED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
 
 class KinkError(RuntimeError):
     """A finite-difference check sits on a non-smooth point even after shifting."""
@@ -141,11 +137,7 @@ class Tape:
     gradient for every leaf (zeros for leaves the loss never touched).
     """
 
-    def __init__(self, dtype=np.float64):
-        dt = np.dtype(dtype)
-        if dt not in _ALLOWED_DTYPES:
-            raise ValueError(f"unsupported dtype {dt}; use float64 or float32")
-        self.dtype = dt
+    def __init__(self):
         self._ops: list[_Node] = []
         self._leaves: list[tuple[int, tuple[int, ...]]] = []
         self._count = 0
@@ -160,7 +152,7 @@ class Tape:
         return self._count
 
     def leaf(self, data) -> Tensor:
-        arr = np.array(data, dtype=self.dtype)
+        arr = np.array(data, dtype=np.float64)
         if arr.ndim > 2:
             raise ValueError(f"tensors are at most 2-D, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr)):
@@ -171,7 +163,7 @@ class Tape:
         return t
 
     def record(self, out: np.ndarray, backward: Callable, kink_gap: float = np.inf) -> Tensor:
-        out = np.asarray(out, dtype=self.dtype)
+        out = np.asarray(out, dtype=np.float64)
         if out.ndim > 2:
             raise ValueError(f"tensors are at most 2-D, got shape {out.shape}")
         if out.size and not np.all(np.isfinite(out)):
@@ -192,7 +184,7 @@ class Tape:
             raise ValueError("loss was recorded on a different tape")
         if loss.ndim != 0:
             raise ValueError(f"loss must be a recorded scalar, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {loss.id: np.ones((), dtype=self.dtype)}
+        grads: dict[int, np.ndarray] = {loss.id: np.ones(())}
         for node in reversed(self._ops):
             g = grads.get(node.out_id)
             if g is None:
@@ -202,8 +194,8 @@ class Tape:
         for leaf_id, shape in self._leaves:
             g = grads.get(leaf_id)
             if g is None:
-                g = np.zeros(shape, dtype=self.dtype)
-            out[leaf_id] = np.asarray(g, dtype=self.dtype)
+                g = np.zeros(shape)
+            out[leaf_id] = np.asarray(g, dtype=np.float64)
         return GradientMap(out)
 
 
@@ -260,8 +252,8 @@ def _ordered_segment_sum(values: np.ndarray, segments: np.ndarray, num_segments:
 # ---------------------------------------------------------------------------
 # primitive ops
 #
-# Backward closures capture ids, shapes, dtypes and arrays, never a Tensor or
-# a Tape, so a tape's op records hold no reference back to it.
+# Backward closures capture ids, shapes and arrays, never a Tensor or a Tape,
+# so a tape's op records hold no reference back to it.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -301,7 +293,7 @@ def add(a: Tensor, b) -> Tensor:
             raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
         return tape.record(out, backward)
 
-    const = np.asarray(b, dtype=a.tape.dtype)
+    const = np.asarray(b, dtype=np.float64)
     if const.ndim != 0 and const.shape != a.shape:
         raise ValueError(f"add shape mismatch: {a.shape} + {const.shape}")
     out = a.data + const
@@ -319,7 +311,7 @@ def neg(a: Tensor) -> Tensor:
 def sub(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         return add(a, neg(b))
-    return add(a, -np.asarray(b, dtype=a.tape.dtype))
+    return add(a, -np.asarray(b, dtype=np.float64))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -337,7 +329,7 @@ def mul(a: Tensor, b) -> Tensor:
 
         return tape.record(out, backward)
 
-    const = np.asarray(b, dtype=a.tape.dtype)
+    const = np.asarray(b, dtype=np.float64)
     if const.ndim != 0 and const.shape != a.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} * {const.shape}")
     out = a_data * const
@@ -392,11 +384,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if a.ndim != 2:
         raise ValueError(f"gather_rows expects a matrix, got shape {a.shape}")
     idx = _index_array(indices, a.shape[0], "row indices")
-    a_id, shape, dtype = a.id, a.shape, a.tape.dtype
+    a_id, shape = a.id, a.shape
     out = a.data[idx]
 
     def backward(g, grads):
-        buf = np.zeros(shape, dtype=dtype)
+        buf = np.zeros(shape)
         np.add.at(buf, idx, g)
         _acc(grads, a_id, buf)
 
@@ -407,11 +399,11 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     n = a.shape[0]
     if not (0 <= start <= stop <= n):
         raise ValueError(f"slice [{start}:{stop}] out of range for {n} rows")
-    a_id, shape, dtype = a.id, a.shape, a.tape.dtype
+    a_id, shape = a.id, a.shape
     out = a.data[start:stop]
 
     def backward(g, grads):
-        buf = np.zeros(shape, dtype=dtype)
+        buf = np.zeros(shape)
         buf[start:stop] = g
         _acc(grads, a_id, buf)
 
@@ -485,7 +477,7 @@ def rowsum(a: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     a_id, shape = a.id, a.shape
-    out = np.asarray(a.data.sum(), dtype=a.tape.dtype)
+    out = np.asarray(a.data.sum(), dtype=np.float64)
 
     def backward(g, grads):
         _acc(grads, a_id, np.broadcast_to(g, shape))
@@ -495,7 +487,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 def sum_squares(a: Tensor) -> Tensor:
     a_id, a_data = a.id, a.data
-    out = np.asarray((a_data * a_data).sum(), dtype=a.tape.dtype)
+    out = np.asarray((a_data * a_data).sum(), dtype=np.float64)
 
     def backward(g, grads):
         _acc(grads, a_id, 2.0 * g * a_data)
@@ -521,7 +513,7 @@ def scale_rows(m: Tensor, v) -> Tensor:
 
         return tape.record(out, backward)
 
-    c = np.asarray(v, dtype=m.tape.dtype)
+    c = np.asarray(v, dtype=np.float64)
     if c.ndim != 1 or c.size != m.shape[0]:
         raise ValueError(f"row scale shape mismatch: {m.shape} vs {c.shape}")
     column = c[:, None]
@@ -552,7 +544,7 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
     flat_in = values.ndim == 1
     data = values.data[:, None] if flat_in else values.data
     cols = data.shape[1]
-    values_id, dtype = values.id, values.tape.dtype
+    values_id = values.id
     counts = np.bincount(segs, minlength=num_segments)
 
     if mode in ("sum", "mean"):
@@ -593,7 +585,7 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
         g2 = np.asarray(g)
         if flat_in:
             g2 = g2[:, None]
-        buf = np.zeros((rows, cols), dtype=dtype)
+        buf = np.zeros((rows, cols))
         buf[win_rows, win_cols] = g2[win_segs, win_cols]
         _acc(grads, values_id, buf[:, 0] if flat_in else buf)
 
@@ -615,7 +607,7 @@ def segment_softmax(logits: Tensor, segments) -> Tensor:
         raise ValueError("segment ids must align with the logits")
     if segs.size and segs.min() < 0:
         raise ValueError("segment ids must be non-negative")
-    logits_id, dtype = logits.id, logits.tape.dtype
+    logits_id = logits.id
     n = int(segs.max()) + 1 if segs.size else 0
     x = logits.data
     if x.size:
@@ -625,11 +617,11 @@ def segment_softmax(logits: Tensor, segments) -> Tensor:
         denom = _ordered_segment_sum(e, segs, n)
         y = e / denom[segs]
     else:
-        y = np.zeros(0, dtype=dtype)
+        y = np.zeros(0)
 
     def backward(g, grads):
         if y.size == 0:
-            _acc(grads, logits_id, np.zeros(0, dtype=dtype))
+            _acc(grads, logits_id, np.zeros(0))
             return
         s = _ordered_segment_sum(y * g, segs, n)
         _acc(grads, logits_id, y * (g - s[segs]))

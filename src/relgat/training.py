@@ -1,7 +1,7 @@
 """Optimization loop, dropout, evaluation metrics and split utilities.
 
-Training is full-batch for node tasks and minibatched (shuffled every epoch)
-for graph tasks. The optimizer is Adam with bias correction; runs are
+One epoch loop serves both task kinds: training is full-batch for node tasks
+and minibatched (shuffled every epoch) for graph tasks. The optimizer is Adam with bias correction; runs are
 bitwise deterministic for a fixed seed because every random draw comes from
 one generator consumed in a fixed order and evaluation never touches it.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BatchedGraph, GraphTask, NodeTask, batch_graphs
+from .graph import GraphTask, NodeTask, batch_graphs
 from .models import (
     GraphClassifier,
     NodeClassifier,
@@ -165,7 +165,170 @@ def roc_auc(scores, labels) -> float:
 
 
 # ---------------------------------------------------------------------------
-# loss assembly
+# the two task kinds
+#
+# A "part" is a set of scored items with their labels: (node ids, classes) for
+# node tasks, (graph ids, their batch, their labels) for graph tasks. Each task
+# kind supplies a forward over a part (drawing dropout when given the run's
+# generator), its criterion, its metrics, a scorer and an epoch's steps.
+
+
+def _split_ids(task, split: str) -> np.ndarray:
+    ids = np.asarray(task.split.part(split), dtype=np.int64)
+    if ids.size == 0:
+        raise ValueError(f"split {split!r} is empty")
+    return ids
+
+
+class _NodeFit:
+    """Full-batch node classification: one step per epoch, and one clean
+    forward whose probabilities score every requested part."""
+
+    def __init__(self, model: NodeClassifier, task):
+        if not isinstance(task, NodeTask):
+            raise TypeError("node model needs a node task")
+        self.model = model
+        self.task = task
+        n = task.graph.num_nodes
+        width = model.embed_dim if model.config.one_hot else task.graph.feature_dim
+        self.mask_shapes = ((n, width), (n, model.config.hidden_units))
+
+    def part(self, split: str):
+        ids = _split_ids(self.task, split)
+        classes = self.task.labels.node_classes
+        return ids, np.array([classes[int(i)] for i in ids], dtype=np.int64)
+
+    def forward(self, tape, leaves, part, *, rng=None, config=None, constant=False):
+        g = self.task.graph
+        edges, masks = g.edges, (None, None)
+        if rng is not None:
+            edges = drop_edges(rng, edges, config.edge_dropout, self_relation=g.self_relation)
+            masks = [feature_mask(rng, s, config.feature_dropout) for s in self.mask_shapes]
+        features = None if g.features is None else tape.leaf(g.features)
+        return self.model.forward(
+            leaves,
+            edges,
+            g.num_nodes,
+            features,
+            constant=constant,
+            input_mask=masks[0],
+            hidden_mask=masks[1],
+        )
+
+    def criterion(self, probs: Tensor, part) -> Tensor:
+        return masked_cross_entropy(probs, *part)
+
+    def metrics(self, probs: Tensor, part) -> dict:
+        ids, classes = part
+        return {
+            "loss": float(self.criterion(probs, part).data),
+            "accuracy": float(np.mean(probs.data[ids].argmax(axis=1) == classes)),
+        }
+
+    def score(self, params, parts, constant: bool = False) -> list[dict]:
+        probs = _clean_forward(self, params, None, constant)
+        return [self.metrics(probs, part) for part in parts]
+
+    def step(self, params, state: AdamState, rng, config: TrainConfig, train_part) -> float:
+        return _step(self, params, state, train_part, rng, config)
+
+
+class _GraphFit:
+    """Minibatched graph classification: shuffled batches each epoch, batches
+    without a label skipped, and one clean forward per scored part."""
+
+    def __init__(self, model: GraphClassifier, task, weights=None):
+        if not isinstance(task, GraphTask):
+            raise TypeError("graph model needs a graph task")
+        self.model = model
+        self.task = task
+        self.weights = _resolve_weights(model, task) if weights is None else np.asarray(weights)
+
+    def part(self, split: str):
+        return self._part(_split_ids(self.task, split))
+
+    def _part(self, ids: np.ndarray):
+        graphs = [self.task.graphs[int(i)] for i in ids]
+        return ids, batch_graphs(graphs), self.task.labels.graph_classes[ids]
+
+    def forward(self, tape, leaves, part, *, rng=None, config=None, constant=False):
+        _, batch, _ = part
+        g = batch.graph
+        edges, masks = g.edges, (None, None, None, None)
+        if rng is not None:
+            edges = drop_edges(rng, edges, config.edge_dropout, self_relation=g.self_relation)
+            units, dense = self.model.config.graph_units, self.model.config.dense_units
+            shapes = (
+                (g.num_nodes, g.feature_dim),
+                (g.num_nodes, units),
+                (g.num_nodes, units),
+                (batch.graph_count, dense),
+            )
+            masks = [feature_mask(rng, s, config.feature_dropout) for s in shapes]
+        return self.model.forward(
+            leaves,
+            edges,
+            g.num_nodes,
+            tape.leaf(g.features),
+            batch.graph_segment,
+            batch.graph_count,
+            constant=constant,
+            input_mask=masks[0],
+            hidden_masks=(masks[1], masks[2]),
+            dense_mask=masks[3],
+        )
+
+    def criterion(self, probs: Tensor, part) -> Tensor:
+        return weighted_cross_entropy(probs, part[2], self.weights)
+
+    def metrics(self, probs: Tensor, part) -> dict:
+        _, batch, labels = part
+        cfg = self.model.config
+        p = probs.data.reshape(batch.graph_count, cfg.num_tasks, cfg.num_classes)
+        labelled = labels >= 0
+        pred = p.argmax(axis=2)
+        accuracy = float(np.mean(pred[labelled] == labels[labelled]))
+        out = {"loss": float(self.criterion(probs, part).data), "accuracy": accuracy}
+        if cfg.num_classes == 2:
+            aucs = []
+            for j in range(cfg.num_tasks):
+                m = labelled[:, j]
+                aucs.append(roc_auc(p[m, j, 1], labels[m, j]) if m.any() else math.nan)
+            out["auc"] = aucs
+            finite = [a for a in aucs if not math.isnan(a)]
+            out["auc_mean"] = float(np.mean(finite)) if finite else math.nan
+        return out
+
+    def score(self, params, parts, constant: bool = False) -> list[dict]:
+        return [self.metrics(_clean_forward(self, params, part, constant), part) for part in parts]
+
+    def step(self, params, state: AdamState, rng, config: TrainConfig, train_part) -> float:
+        ids = train_part[0]
+        shuffled = ids[rng.permutation(ids.size)]
+        total = 0.0
+        steps = 0
+        for start in range(0, shuffled.size, config.batch_size):
+            batch_ids = shuffled[start : start + config.batch_size]
+            if not (self.task.labels.graph_classes[batch_ids] >= 0).any():
+                continue
+            total += _step(self, params, state, self._part(batch_ids), rng, config)
+            steps += 1
+        return total / max(steps, 1)
+
+
+def _fit(model, task, weights=None):
+    if isinstance(model, NodeClassifier):
+        return _NodeFit(model, task)
+    if isinstance(model, GraphClassifier):
+        return _GraphFit(model, task, weights)
+    raise TypeError(f"unknown model type {type(model).__name__}")
+
+
+def _resolve_weights(model: GraphClassifier, task: GraphTask) -> np.ndarray:
+    if task.labels.class_weights is not None:
+        return np.asarray(task.labels.class_weights, dtype=np.float64)
+    train_labels = task.labels.graph_classes[np.asarray(task.split.train, dtype=np.int64)]
+    return inverse_frequency_weights(train_labels, model.config.num_classes)
 
 
 def _l2_penalty(loss: Tensor, leaves, groups: dict[str, list[str]], coefs: dict[str, float]) -> Tensor:
@@ -178,161 +341,32 @@ def _l2_penalty(loss: Tensor, leaves, groups: dict[str, list[str]], coefs: dict[
     return loss
 
 
-def _node_loss(
-    model: NodeClassifier,
-    task: NodeTask,
-    params,
-    node_ids,
-    classes,
-    *,
-    l2: dict[str, float] | None = None,
-    edges=None,
-    input_mask=None,
-    hidden_mask=None,
-    constant: bool = False,
-):
-    graph = task.graph
+def _step(fit, params, state: AdamState, part, rng, config: TrainConfig) -> float:
+    """The loss builder: a dropout forward over one part, its criterion plus
+    the L2 penalty, then backward and one Adam step. Returns the loss."""
     tape = Tape()
     leaves = bind_params(tape, params)
-    features = None if graph.features is None else tape.leaf(graph.features)
-    probs = model.forward(
-        leaves,
-        graph.edges if edges is None else edges,
-        graph.num_nodes,
-        features,
-        constant=constant,
-        input_mask=input_mask,
-        hidden_mask=hidden_mask,
-    )
-    loss = masked_cross_entropy(probs, node_ids, classes)
-    if l2:
-        loss = _l2_penalty(loss, leaves, model.l2_groups(), l2)
-    return tape, leaves, loss, probs
+    probs = fit.forward(tape, leaves, part, rng=rng, config=config)
+    loss = _l2_penalty(fit.criterion(probs, part), leaves, fit.model.l2_groups(), config.l2)
+    grad_map = tape.backward(loss)
+    adam_step(params, {k: grad_map[leaves[k]] for k in params}, state, config.learning_rate)
+    return float(loss.data)
 
 
-def _graph_loss(
-    model: GraphClassifier,
-    batch: BatchedGraph,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    params,
-    *,
-    l2: dict[str, float] | None = None,
-    rng: np.random.Generator | None = None,
-    feature_dropout: float = 0.0,
-    edge_dropout: float = 0.0,
-    constant: bool = False,
-):
-    g = batch.graph
-    edges = g.edges
-    input_mask = None
-    hidden_masks = (None, None)
-    dense_mask = None
-    if rng is not None:
-        edges = drop_edges(rng, edges, edge_dropout, self_relation=g.self_relation)
-        cfg = model.config
-        input_mask = feature_mask(rng, (g.num_nodes, g.feature_dim), feature_dropout)
-        hidden_masks = (
-            feature_mask(rng, (g.num_nodes, cfg.graph_units), feature_dropout),
-            feature_mask(rng, (g.num_nodes, cfg.graph_units), feature_dropout),
-        )
-        dense_mask = feature_mask(rng, (batch.graph_count, cfg.dense_units), feature_dropout)
+def _clean_forward(fit, params, part, constant: bool) -> Tensor:
     tape = Tape()
-    leaves = bind_params(tape, params)
-    probs = model.forward(
-        leaves,
-        edges,
-        g.num_nodes,
-        tape.leaf(g.features),
-        batch.graph_segment,
-        batch.graph_count,
-        constant=constant,
-        input_mask=input_mask,
-        hidden_masks=hidden_masks,
-        dense_mask=dense_mask,
-    )
-    loss = weighted_cross_entropy(probs, labels, weights)
-    if l2:
-        loss = _l2_penalty(loss, leaves, model.l2_groups(), l2)
-    return tape, leaves, loss, probs
-
-
-def _resolve_weights(model: GraphClassifier, task: GraphTask) -> np.ndarray:
-    if task.labels.class_weights is not None:
-        return np.asarray(task.labels.class_weights, dtype=np.float64)
-    train_labels = task.labels.graph_classes[np.asarray(task.split.train, dtype=np.int64)]
-    return inverse_frequency_weights(train_labels, model.config.num_classes)
+    return fit.forward(tape, bind_params(tape, params), part, constant=constant)
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation and the training loop
 
 
 def evaluate(model, task, split: str = "test", *, constant: bool = False, weights=None) -> dict:
     """Clean-forward metrics on one split. Never mutates model state or
     consumes random numbers."""
-    params = model.params
-    if isinstance(model, NodeClassifier):
-        if not isinstance(task, NodeTask):
-            raise TypeError("node model needs a node task")
-        ids = np.asarray(task.split.part(split), dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError(f"split {split!r} is empty")
-        classes = np.array([task.labels.node_classes[int(i)] for i in ids], dtype=np.int64)
-        _, _, loss, probs = _node_loss(model, task, params, ids, classes, constant=constant)
-        pred = probs.data[ids].argmax(axis=1)
-        return {
-            "loss": float(loss.data),
-            "accuracy": float(np.mean(pred == classes)),
-        }
-
-    if isinstance(model, GraphClassifier):
-        if not isinstance(task, GraphTask):
-            raise TypeError("graph model needs a graph task")
-        batch, labels = _split_batch(task, split)
-        w = _resolve_weights(model, task) if weights is None else np.asarray(weights)
-        return _graph_metrics(model, params, batch, labels, w, constant=constant)
-
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _split_batch(task: GraphTask, split: str) -> tuple[BatchedGraph, np.ndarray]:
-    """One batch of a split's graphs, plus their (graphs, tasks) labels."""
-    ids = np.asarray(task.split.part(split), dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError(f"split {split!r} is empty")
-    return batch_graphs([task.graphs[int(i)] for i in ids]), task.labels.graph_classes[ids]
-
-
-def _graph_metrics(
-    model: GraphClassifier,
-    params,
-    batch: BatchedGraph,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    *,
-    constant: bool = False,
-) -> dict:
-    _, _, loss, probs = _graph_loss(model, batch, labels, weights, params, constant=constant)
-    t = model.config.num_tasks
-    p = probs.data.reshape(batch.graph_count, t, model.config.num_classes)
-    labelled = labels >= 0
-    pred = p.argmax(axis=2)
-    accuracy = float(np.mean(pred[labelled] == labels[labelled]))
-    out = {"loss": float(loss.data), "accuracy": accuracy}
-    if model.config.num_classes == 2:
-        aucs = []
-        for j in range(t):
-            m = labelled[:, j]
-            aucs.append(roc_auc(p[m, j, 1], labels[m, j]) if m.any() else math.nan)
-        out["auc"] = aucs
-        finite = [a for a in aucs if not math.isnan(a)]
-        out["auc_mean"] = float(np.mean(finite)) if finite else math.nan
-    return out
-
-
-# ---------------------------------------------------------------------------
-# training loops
+    fit = _fit(model, task, weights)
+    return fit.score(model.params, [fit.part(split)], constant)[0]
 
 
 def _monitor_value(metrics: dict) -> float:
@@ -341,44 +375,23 @@ def _monitor_value(metrics: dict) -> float:
     return metrics["accuracy"]
 
 
-def train(model, task, config: TrainConfig) -> TrainResult:
-    """Optimizes model.params on the task's train split with early stopping
-    on the validation metric (accuracy for node tasks, mean AUC for graph
-    tasks). The model is left holding the best parameters seen."""
-    if isinstance(model, NodeClassifier):
-        result = _train_node(model, task, config)
-    elif isinstance(model, GraphClassifier):
-        result = _train_graph(model, task, config)
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    model.params = result.params
-    return result
-
-
 def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
-def _train_node(model: NodeClassifier, task: NodeTask, config: TrainConfig) -> TrainResult:
-    if not isinstance(task, NodeTask):
-        raise TypeError("node model needs a node task")
-    graph = task.graph
+def train(model, task, config: TrainConfig) -> TrainResult:
+    """Optimizes model.params on the task's train split with early stopping
+    on the validation metric (accuracy for node tasks, mean AUC for graph
+    tasks; minus the train loss without a validation split). The model is
+    left holding the best parameters seen."""
+    fit = _fit(model, task)
+    # scored parts are built once; the parameters change, the graphs do not
+    parts = [fit.part("train")]
+    if task.split.validation:
+        parts.append(fit.part("validation"))
     rng = np.random.default_rng(config.seed)
     params = _snapshot(model.params)
     state = AdamState(params)
-    train_ids = np.asarray(task.split.train, dtype=np.int64)
-    if train_ids.size == 0:
-        raise ValueError("train split is empty")
-    train_classes = np.array(
-        [task.labels.node_classes[int(i)] for i in train_ids], dtype=np.int64
-    )
-    has_val = len(task.split.validation) > 0
-
-    if model.config.one_hot:
-        input_shape = (graph.num_nodes, model.embed_dim)
-    else:
-        input_shape = (graph.num_nodes, graph.feature_dim)
-    hidden_shape = (graph.num_nodes, model.config.hidden_units)
 
     history: list[dict] = []
     best = -np.inf
@@ -387,139 +400,26 @@ def _train_node(model: NodeClassifier, task: NodeTask, config: TrainConfig) -> T
     bad_epochs = 0
     stopped = False
     for epoch in range(config.epochs):
-        edges = drop_edges(
-            rng, graph.edges, config.edge_dropout, self_relation=graph.self_relation
-        )
-        input_mask = feature_mask(rng, input_shape, config.feature_dropout)
-        hidden_mask = feature_mask(rng, hidden_shape, config.feature_dropout)
         try:
-            tape, leaves, loss, _ = _node_loss(
-                model,
-                task,
-                params,
-                train_ids,
-                train_classes,
-                l2=config.l2,
-                edges=edges,
-                input_mask=input_mask,
-                hidden_mask=hidden_mask,
-            )
-            grad_map = tape.backward(loss)
-            grads = {k: grad_map[leaves[k]] for k in params}
-            adam_step(params, grads, state, config.learning_rate)
+            train_loss = fit.step(params, state, rng, config, parts[0])
         except OverflowError as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
-
-        model_params, model.params = model.params, params
-        try:
-            train_metrics = evaluate(model, task, "train")
-            val_metrics = evaluate(model, task, "validation") if has_val else None
-        finally:
-            model.params = model_params
+        train_metrics, *val = fit.score(params, parts)
         record = {
             "epoch": epoch,
-            "train_loss": float(loss.data),
-            "train_accuracy": train_metrics["accuracy"],
-        }
-        if val_metrics is not None:
-            record["val_loss"] = val_metrics["loss"]
-            record["val_accuracy"] = val_metrics["accuracy"]
-            monitored = val_metrics["accuracy"]
-        else:
-            monitored = -float(loss.data)
-        history.append(record)
-        if monitored > best:
-            best = monitored
-            best_epoch = epoch
-            best_params = _snapshot(params)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                stopped = True
-                break
-
-    return TrainResult(
-        params=best_params,
-        history=history,
-        best_epoch=best_epoch,
-        best_metric=float(best),
-        epochs_run=len(history),
-        stopped_early=stopped,
-    )
-
-
-def _train_graph(model: GraphClassifier, task: GraphTask, config: TrainConfig) -> TrainResult:
-    if not isinstance(task, GraphTask):
-        raise TypeError("graph model needs a graph task")
-    rng = np.random.default_rng(config.seed)
-    params = _snapshot(model.params)
-    state = AdamState(params)
-    train_ids = np.asarray(task.split.train, dtype=np.int64)
-    if train_ids.size == 0:
-        raise ValueError("train split is empty")
-    weights = _resolve_weights(model, task)
-    # evaluation batches are built once; the parameters change, the graphs do not
-    train_eval = _split_batch(task, "train")
-    val_eval = _split_batch(task, "validation") if task.split.validation else None
-
-    history: list[dict] = []
-    best = -np.inf
-    best_epoch = -1
-    best_params = _snapshot(params)
-    bad_epochs = 0
-    stopped = False
-    for epoch in range(config.epochs):
-        order = rng.permutation(train_ids.size)
-        shuffled = train_ids[order]
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, shuffled.size, config.batch_size):
-            batch_ids = shuffled[start : start + config.batch_size]
-            labels = task.labels.graph_classes[batch_ids]
-            if not (labels >= 0).any():
-                continue
-            try:
-                tape, leaves, loss, _ = _graph_loss(
-                    model,
-                    batch_graphs([task.graphs[int(i)] for i in batch_ids]),
-                    labels,
-                    weights,
-                    params,
-                    l2=config.l2,
-                    rng=rng,
-                    feature_dropout=config.feature_dropout,
-                    edge_dropout=config.edge_dropout,
-                )
-                grad_map = tape.backward(loss)
-                grads = {k: grad_map[leaves[k]] for k in params}
-                adam_step(params, grads, state, config.learning_rate)
-            except OverflowError as exc:
-                raise DivergenceError(
-                    f"training diverged at epoch {epoch}: {exc}"
-                ) from exc
-            epoch_loss += float(loss.data)
-            n_batches += 1
-
-        train_metrics = _graph_metrics(model, params, *train_eval, weights)
-        val_metrics = (
-            _graph_metrics(model, params, *val_eval, weights) if val_eval is not None else None
-        )
-        record = {
-            "epoch": epoch,
-            "train_loss": epoch_loss / max(n_batches, 1),
+            "train_loss": train_loss,
             "train_accuracy": train_metrics["accuracy"],
         }
         if "auc_mean" in train_metrics:
             record["train_auc"] = train_metrics["auc_mean"]
-        if val_metrics is not None:
-            record["val_loss"] = val_metrics["loss"]
-            record["val_accuracy"] = val_metrics["accuracy"]
-            if "auc_mean" in val_metrics:
-                record["val_auc"] = val_metrics["auc_mean"]
-            monitored = _monitor_value(val_metrics)
+        if val:
+            record["val_loss"] = val[0]["loss"]
+            record["val_accuracy"] = val[0]["accuracy"]
+            if "auc_mean" in val[0]:
+                record["val_auc"] = val[0]["auc_mean"]
+            monitored = _monitor_value(val[0])
         else:
-            monitored = -record["train_loss"]
+            monitored = -train_loss
         history.append(record)
         if monitored > best:
             best = monitored
@@ -532,6 +432,7 @@ def _train_graph(model: GraphClassifier, task: GraphTask, config: TrainConfig) -
                 stopped = True
                 break
 
+    model.params = best_params
     return TrainResult(
         params=best_params,
         history=history,

@@ -177,6 +177,27 @@ def test_eval_rejects_checkpoint_with_missing_or_reshaped_parameter(tmp_path, ca
     assert "wrong shape" in capsys.readouterr().err
 
 
+def test_eval_rejects_checkpoint_whose_config_does_not_match_its_hash(tmp_path, capsys):
+    data = _gen(tmp_path)
+    out = _train(tmp_path, data, "run")
+    manifest_path = out / "manifest.json"
+    original = manifest_path.read_text()
+    args = ["eval", "--data", str(data), "--checkpoint", str(out)]
+    assert main(args) == 0
+
+    # an edited training setting still rebuilds the same model, so only the
+    # hash can tell that the checkpoint no longer matches its config
+    manifest = json.loads(original)
+    manifest["config"]["train"]["learning_rate"] *= 2
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "config_hash" in capsys.readouterr().err
+
+    manifest_path.write_text(original)
+    assert main(args) == 0
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -227,6 +248,35 @@ def test_sweep_cli(tmp_path, capsys):
     assert summary["trials"] == 2
     assert "best" in summary
     assert len(records.read_text().splitlines()) == 2
+
+
+def test_sweep_resume_refuses_a_log_from_another_sweep(tmp_path, capsys):
+    data = _gen(tmp_path)
+    space = tmp_path / "space.json"
+    space.write_text(
+        json.dumps({"learning_rate": {"kind": "log_uniform", "low": 1e-3, "high": 1e-1}})
+    )
+    records = tmp_path / "records.jsonl"
+
+    def sweep(trials, *extra):
+        base = ["sweep", "--data", str(data), "--out", str(records), "--space", str(space)]
+        budget = ["--trials", str(trials), "--epochs", "1", "--patience", "1"]
+        return main(base + budget + list(extra))
+
+    assert sweep(2, "--seed", "0") == 0
+    before = records.read_text()
+    capsys.readouterr()
+    assert sweep(3, "--seed", "99") == 2
+    assert "different sweep" in capsys.readouterr().err
+    assert sweep(3, "--seed", "0", "--logit-mode", "multiplicative") == 2
+    assert "different sweep" in capsys.readouterr().err
+    assert records.read_text() == before
+
+    # the same sweep resumes: the two recorded trials are kept, one is added
+    assert sweep(3, "--seed", "0") == 0
+    after = records.read_text()
+    assert after.startswith(before)
+    assert len(after.splitlines()) == 3
 
 
 def test_stats_cli(tmp_path, capsys):

@@ -11,9 +11,7 @@ from relgat.layers import (
     attention_coefficients,
     attention_logits,
     compose_kernels,
-    degree_rgcn_forward,
     glorot,
-    intermediate_representations,
     rgcn_forward,
 )
 from relgat.tensor import Tape, matmul, sum_all
@@ -260,38 +258,6 @@ def test_rgcn_forward_empty_relations_gives_zeros_with_grad_path():
     assert np.array_equal(out.data, np.zeros((1, 3)))
     grads = tape.backward(sum_all(out))
     assert np.array_equal(grads[w], np.zeros((2, 3)))
-
-
-def test_degree_rgcn_forward_hand_value_and_clamp():
-    tape = Tape()
-    h = tape.leaf([[1.0], [2.0], [3.0]])
-    # degrees: node0 <- {1,2} (2), node1 <- {0} (1), node2 <- none (0)
-    edges = (np.array([0, 0, 1]), np.array([1, 2, 0]))
-    self_k = [tape.leaf([[10.0]]), tape.leaf([[20.0]])]
-    neigh_k = [tape.leaf([[1.0]]), tape.leaf([[2.0]])]
-    biases = [tape.leaf([100.0]), tape.leaf([200.0])]
-    out = degree_rgcn_forward(edges, 3, h, self_k, neigh_k, biases)
-    # node0 degree 2 clamps to 1: 20*1 + 2*(2+3) + 200 = 230
-    # node1 degree 1: 20*2 + 2*1 + 200 = 242
-    # node2 degree 0: 10*3 + 0 + 100 = 130
-    assert np.array_equal(out.data, [[230.0], [242.0], [130.0]])
-
-
-def test_degree_rgcn_rejects_misaligned_kernel_lists():
-    tape = Tape()
-    h = tape.leaf([[1.0]])
-    k = tape.leaf([[1.0]])
-    b = tape.leaf([0.0])
-    with pytest.raises(ValueError, match="degree kernel"):
-        degree_rgcn_forward((np.array([0]), np.array([0])), 1, h, [k], [k, k], [b])
-
-
-def test_intermediate_representations_is_projection():
-    tape = Tape()
-    h = tape.leaf([[1.0, 0.0], [0.0, 2.0]])
-    w = tape.leaf([[3.0], [4.0]])
-    out = intermediate_representations(h, w)
-    assert np.array_equal(out.data, [[3.0], [8.0]])
 
 
 def test_layer_forward_permutation_equivariant_bitwise():

@@ -50,12 +50,6 @@ def test_leaf_rejects_non_finite_and_3d():
         tape.leaf(np.zeros((2, 2, 2)))
 
 
-def test_dtype_gate():
-    assert Tape(np.float32).dtype == np.float32
-    with pytest.raises(ValueError):
-        Tape(np.float16)
-
-
 def test_matmul_forward_and_backward_hand_values():
     tape = Tape()
     a = tape.leaf([[1.0, 2.0], [3.0, 4.0]])
@@ -426,12 +420,3 @@ def test_grad_check_raises_on_persistent_kink():
 
     with pytest.raises(KinkError):
         grad_check(f, {"a": np.array([1.0]), "b": np.array([1.0])})
-
-
-def test_float32_tape_runs():
-    tape = Tape(np.float32)
-    x = tape.leaf([1.0, 2.0])
-    out = mul(x, 2.0)
-    assert out.data.dtype == np.float32
-    grads = tape.backward(sum_all(out))
-    assert grads[x].dtype == np.float32

@@ -329,6 +329,106 @@ def test_tapes_are_freed_without_the_cycle_collector(monkeypatch):
         gc.enable()
 
 
+def _count_forwards(model) -> list:
+    calls = []
+    forward = model.forward
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("constant", False))
+        return forward(*args, **kwargs)
+
+    model.forward = counted
+    return calls
+
+
+@pytest.mark.parametrize("with_validation", [True, False])
+def test_node_epoch_runs_one_step_and_one_scoring_forward(with_validation):
+    model, task = _node_task()
+    if not with_validation:
+        split = Split(train=task.split.train, validation=(), test=task.split.test)
+        task = NodeTask(task.graph, task.labels, split)
+    calls = _count_forwards(model)
+    result = train(model, task, TrainConfig(epochs=3, patience=3, feature_dropout=0.3))
+    assert result.epochs_run == 3
+    assert len(calls) == 2 * 3
+    calls.clear()
+    evaluate(model, task, "test", constant=True)
+    assert calls == [True]
+
+
+def test_graph_epoch_runs_its_minibatches_and_two_scoring_forwards():
+    model, task = _graph_task()
+    classes = task.labels.graph_classes.copy()
+    classes[0] = -1  # train graph 0 is unlabelled: its batch of one is skipped
+    labels = LabelSet(kind="graph", num_classes=2, num_tasks=1, graph_classes=classes)
+    task = GraphTask(task.graphs, labels, task.split)
+    calls = _count_forwards(model)
+    train(model, task, TrainConfig(epochs=2, patience=2, batch_size=1))
+    labelled_batches = len(task.split.train) - 1
+    assert len(calls) == 2 * (labelled_batches + 2)
+
+
+# Histories recorded with the two-loop trainer (separate node and graph
+# loops, one evaluate call per scored split); the merged loop must
+# reproduce them.
+_GOLDEN_NODE = [
+    (0.6669896688364607, 0.3333333333333333, 1.046050201683518, 0.0),
+    (0.769971371659387, 0.6666666666666666, 0.8300567388344564, 0.3333333333333333),
+    (0.40511269650427373, 0.8333333333333334, 0.6047705929744236, 0.6666666666666666),
+    (0.22505634873829927, 0.8333333333333334, 0.3782974940903234, 1.0),
+    (0.4088964838881475, 1.0, 0.22464044903116226, 1.0),
+]
+_GOLDEN_GRAPH = [
+    (0.49372207498031373, 0.5, 0.5833333333333334, 0.7932113564274247, 0.25, 0.3333333333333333),
+    (0.5566848976024523, 0.75, 0.5, 0.8858658847917809, 0.5, 0.3333333333333333),
+    (0.4537236892968554, 0.75, 0.6666666666666666, 0.9188083687548203, 0.5, 0.6666666666666666),
+]
+
+
+def _assert_history(history, keys, golden):
+    assert [rec["epoch"] for rec in history] == list(range(len(golden)))
+    for rec, values in zip(history, golden):
+        assert list(rec) == ["epoch", *keys]
+        for key, value in zip(keys, values):
+            assert rec[key] == pytest.approx(value, rel=0, abs=1e-12), key
+
+
+@pytest.mark.parametrize("with_validation", [True, False])
+def test_node_history_matches_golden_values(with_validation):
+    model, task = _node_task()
+    keys = ["train_loss", "train_accuracy", "val_loss", "val_accuracy"]
+    if not with_validation:
+        split = Split(train=task.split.train, validation=(), test=task.split.test)
+        task = NodeTask(task.graph, task.labels, split)
+        keys = keys[:2]
+    cfg = TrainConfig(
+        epochs=5, patience=5, seed=3, feature_dropout=0.3, edge_dropout=0.2, learning_rate=0.05
+    )
+    result = train(model, task, cfg)
+    _assert_history(result.history, keys, [row[: len(keys)] for row in _GOLDEN_NODE])
+    assert result.best_epoch == 3
+    if not with_validation:
+        # without a validation split the monitor is minus the train loss
+        assert result.best_metric == -result.history[3]["train_loss"]
+
+
+def test_graph_history_matches_golden_values():
+    model, task = _graph_task()
+    cfg = TrainConfig(
+        epochs=3,
+        patience=3,
+        seed=1,
+        batch_size=3,
+        feature_dropout=0.2,
+        edge_dropout=0.2,
+        learning_rate=0.02,
+    )
+    result = train(model, task, cfg)
+    keys = ["train_loss", "train_accuracy", "train_auc", "val_loss", "val_accuracy", "val_auc"]
+    _assert_history(result.history, keys, _GOLDEN_GRAPH)
+    assert result.best_epoch == 2
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(feature_dropout=1.0)
