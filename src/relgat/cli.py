@@ -225,20 +225,29 @@ def _cmd_train(args) -> int:
 
 
 def _rebuild_model(manifest: dict):
-    config = manifest["config"]["model"]
-    kind = manifest["config"].get("task") or manifest.get("task")
-    rng = np.random.default_rng(0)
-    if kind == "node":
-        return NodeClassifier(rng, NodeClassifierConfig.from_dict(config))
-    if kind == "graph":
-        return GraphClassifier(rng, GraphClassifierConfig.from_dict(config))
-    raise GraphFormatError(f"checkpoint has unknown task kind {kind!r}")
+    config = manifest["config"]
+    kind = config.get("task") or manifest.get("task")
+    kinds = {
+        "node": (NodeClassifier, NodeClassifierConfig),
+        "graph": (GraphClassifier, GraphClassifierConfig),
+    }
+    if kind not in kinds:
+        raise GraphFormatError(f"checkpoint has unknown task kind {kind!r}")
+    model_cls, config_cls = kinds[kind]
+    try:
+        model_config = config_cls.from_dict(config["model"])
+    except TypeError as exc:
+        raise GraphFormatError(f"checkpoint model config does not fit a {kind} model: {exc}") from None
+    return model_cls(np.random.default_rng(0), model_config)
 
 
 def _cmd_eval(args) -> int:
     task = parse_dataset(Path(args.data).read_text())
     params, manifest = load_checkpoint(args.checkpoint)
-    if config_hash(manifest["config"]) != manifest.get("config_hash"):
+    config = manifest.get("config")
+    if not isinstance(config, dict) or not isinstance(config.get("model"), dict):
+        raise GraphFormatError("checkpoint manifest lacks config.model")
+    if config_hash(config) != manifest.get("config_hash"):
         raise GraphFormatError("checkpoint config does not match its config_hash")
     model = _rebuild_model(manifest)
     missing = sorted(model.params.keys() - params.keys())

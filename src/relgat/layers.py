@@ -22,7 +22,7 @@ import numpy as np
 from .tensor import (
     Tensor,
     add,
-    concat_cols,
+    block_matmul,
     concat_flat,
     concat_rows,
     gather_rows,
@@ -35,6 +35,7 @@ from .tensor import (
     segment_reduce,
     segment_softmax,
     slice_rows,
+    sum_blocks,
     tanh,
 )
 
@@ -47,7 +48,6 @@ __all__ = [
     "RgatLayer",
     "attention_coefficients",
     "attention_logits",
-    "compose_kernels",
     "glorot",
     "rgcn_forward",
 ]
@@ -76,15 +76,34 @@ def _apply_activation(t: Tensor, activation: str) -> Tensor:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def compose_kernels(coefficients: Tensor, bases: Tensor, index: int, shape: tuple[int, int]) -> Tensor:
-    """Combines flattened basis matrices with one coefficient row.
+def _edge_arrays(edges: Sequence[tuple[np.ndarray, np.ndarray]]):
+    """Targets, sources and relation ids of every edge, relation-major."""
+    tgt = [np.asarray(t, dtype=np.int64) for t, _ in edges]
+    src = [np.asarray(s, dtype=np.int64) for _, s in edges]
+    rel = np.repeat(np.arange(len(edges)), [len(t) for t in tgt])
+    if not edges:
+        return rel, rel, rel
+    return np.concatenate(tgt), np.concatenate(src), rel
 
-    coefficients is (R*K, B), bases is (B, prod(shape)); row `index` selects
-    the (relation, head) slot and the weighted sum is reshaped to `shape`.
-    """
-    row = slice_rows(coefficients, index, index + 1)
-    flat = matmul(row, bases)
-    return reshape(flat, shape)
+
+def _support_keys(targets: np.ndarray, relations: np.ndarray, num_nodes: int, kind: str) -> np.ndarray:
+    """Softmax-support key of every edge: target + relation * num_nodes for
+    the (constant) wirgat kinds, the target alone for the argat kinds."""
+    return targets + relations * num_nodes if kind.endswith("wirgat") else targets
+
+
+def _uniform_coefficients(keys: np.ndarray) -> np.ndarray:
+    """1 / |support| for every edge: the constant-attention coefficients."""
+    if not keys.size:
+        return np.zeros(0, dtype=np.float64)
+    return 1.0 / np.bincount(keys)[keys]
+
+
+def _edge_logits(qe: Tensor, ke: Tensor, mode: str, slope: float) -> Tensor:
+    """One logit per row of the gathered target queries and source keys."""
+    if mode == "additive":
+        return leaky_relu(reshape(add(qe, ke), (qe.shape[0],)), slope)
+    return rowsum(mul(qe, ke))
 
 
 def attention_logits(
@@ -114,11 +133,7 @@ def attention_logits(
     src = np.asarray(sources, dtype=np.int64)
     q = matmul(g, slice_rows(kernel, 0, fp))
     k = matmul(g, slice_rows(kernel, fp, 2 * fp))
-    qe = gather_rows(q, tgt)
-    ke = gather_rows(k, src)
-    if mode == "additive":
-        return leaky_relu(reshape(add(qe, ke), (len(tgt),)), slope)
-    return rowsum(mul(qe, ke))
+    return _edge_logits(gather_rows(q, tgt), gather_rows(k, src), mode, slope)
 
 
 @dataclass(frozen=True)
@@ -159,29 +174,16 @@ def attention_coefficients(
     """
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")
-    tgt_parts = [np.asarray(t, dtype=np.int64) for t, _ in edges]
-    sizes = [len(t) for t in tgt_parts]
-    offsets = np.cumsum([0] + sizes)
+    tgt_all, _, rel = _edge_arrays(edges)
+    offsets = np.cumsum([0] + [len(t) for t, _ in edges])
     slices = tuple((int(offsets[i]), int(offsets[i + 1])) for i in range(len(edges)))
-    tgt_all = np.concatenate(tgt_parts) if tgt_parts else np.zeros(0, dtype=np.int64)
+    sizes = np.diff(offsets)
     if tgt_all.size and (tgt_all.min() < 0 or tgt_all.max() >= num_nodes):
         raise ValueError("edge target out of range")
-    if kind.endswith("wirgat"):
-        segments = (
-            np.concatenate([t + r * num_nodes for r, t in enumerate(tgt_parts)])
-            if tgt_parts
-            else tgt_all
-        )
-    else:
-        segments = tgt_all
+    segments = _support_keys(tgt_all, rel, num_nodes, kind)
 
     if kind.startswith("c-"):
-        if segments.size:
-            counts = np.bincount(segments)
-            alpha = 1.0 / counts[segments]
-        else:
-            alpha = np.zeros(0, dtype=np.float64)
-        return AttentionResult(alpha, None, segments, slices)
+        return AttentionResult(_uniform_coefficients(segments), None, segments, slices)
 
     if logits is None:
         raise ValueError("learned normalization needs logits")
@@ -321,28 +323,21 @@ class RgatLayer:
             ]
         return [f"{self.name}.a_basis", f"{self.name}.a_coeff"]
 
-    def kernels(self, leaves: dict[str, Tensor], relation: int, head: int) -> tuple[Tensor, Tensor]:
-        """Projection and attention kernels for one (relation, head) slot."""
-        slot = relation * self.heads + head
-        if self.basis_w is None:
-            w = leaves[f"{self.name}.w.r{relation}k{head}"]
-        else:
-            w = compose_kernels(
-                leaves[f"{self.name}.w_coeff"],
-                leaves[f"{self.name}.w_basis"],
-                slot,
-                (self.in_dim, self.per_head),
+    def _stacked_kernels(
+        self, leaves: dict[str, Tensor], kind: str, basis: int | None, shape: tuple[int, int]
+    ) -> Tensor:
+        """Every slot's kernel of one kind, each of the given shape, stacked
+        row-wise head-major: slot k*R + r is row block k*R + r."""
+        heads, relations = self.heads, self.num_relations
+        if basis is None:
+            return concat_rows(
+                [leaves[f"{self.name}.{kind}.r{r}k{k}"] for k in range(heads) for r in range(relations)]
             )
-        if self.basis_a is None:
-            a = leaves[f"{self.name}.a.r{relation}k{head}"]
-        else:
-            a = compose_kernels(
-                leaves[f"{self.name}.a_coeff"],
-                leaves[f"{self.name}.a_basis"],
-                slot,
-                (2 * self.per_head, self.attention_dim),
-            )
-        return w, a
+        # coefficient row r*K + k belongs to slot (r, k)
+        order = (np.arange(heads)[:, None] + np.arange(relations) * heads).ravel()
+        coeff = gather_rows(leaves[f"{self.name}.{kind}_coeff"], order)
+        flat = block_matmul(coeff, leaves[f"{self.name}.{kind}_basis"], len(order), shared="w")
+        return reshape(flat, (len(order) * shape[0], shape[1]))
 
     def forward(
         self,
@@ -353,48 +348,51 @@ class RgatLayer:
         *,
         constant: bool = False,
     ) -> Tensor:
+        """Runs every (relation, head) slot at once; the op count does not
+        depend on the number of relations or heads.
+
+        Projected features, queries and keys are stacked by slot: slot
+        s = k*R + r holds rows s*N to (s+1)*N, so one gather picks every
+        head's row of every edge.
+        """
         if len(edges) != self.num_relations:
             raise ValueError(
                 f"layer built for {self.num_relations} relations, got {len(edges)} edge lists"
             )
-        tgt_parts = [np.asarray(t, dtype=np.int64) for t, _ in edges]
-        src_parts = [np.asarray(s, dtype=np.int64) for _, s in edges]
-        tgt_all = (
-            np.concatenate(tgt_parts) if tgt_parts else np.zeros(0, dtype=np.int64)
-        )
-        kind = f"c-{self.norm_kind}" if constant else self.norm_kind
+        if h.shape[0] != num_nodes:
+            raise ValueError(f"features have {h.shape[0]} rows for {num_nodes} nodes")
+        heads, relations, fp = self.heads, self.num_relations, self.per_head
+        slots = relations * heads
+        tgt, src, rel = _edge_arrays(edges)
+        head = np.arange(heads)
+        # slot row of each (edge, head), listed edge-major then head
+        slot_base = (head * relations + rel[:, None]) * num_nodes
+        tgt_rows = (slot_base + tgt[:, None]).ravel()
+        src_rows = (slot_base + src[:, None]).ravel()
+        keys = _support_keys(tgt, rel, num_nodes, self.norm_kind)
 
-        head_sums = []
-        for k in range(self.heads):
-            projected = []
-            logit_parts: list[Tensor] | None = None if constant else []
-            for r in range(self.num_relations):
-                w, a = self.kernels(leaves, r, k)
-                g = matmul(h, w)
-                projected.append(g)
-                if not constant:
-                    logit_parts.append(
-                        attention_logits(
-                            g, tgt_parts[r], src_parts[r], a, self.logit_mode, self.slope
-                        )
-                    )
-            att = attention_coefficients(logit_parts, edges, num_nodes, kind)
-            values = concat_rows(
-                [gather_rows(projected[r], src_parts[r]) for r in range(self.num_relations)]
+        w = self._stacked_kernels(leaves, "w", self.basis_w, (self.in_dim, fp))
+        g = block_matmul(h, w, slots, shared="x")
+        if constant:
+            alpha = np.repeat(_uniform_coefficients(keys), heads)
+        else:
+            a = self._stacked_kernels(leaves, "a", self.basis_a, (2 * fp, self.attention_dim))
+            # the query and key products precede the message gather, so each
+            # slot's feature gradient adds up in the order a per-slot loop has
+            query = block_matmul(g, a, slots, window=(0, fp))
+            key = block_matmul(g, a, slots, window=(fp, 2 * fp))
+            logits = _edge_logits(
+                gather_rows(query, tgt_rows), gather_rows(key, src_rows), self.logit_mode, self.slope
             )
-            messages = scale_rows(values, att.coefficients)
-            agg = segment_reduce(messages, tgt_all, num_nodes, "sum")
-            if self.use_bias:
-                agg = add(agg, leaves[f"{self.name}.bias.k{k}"])
-            head_sums.append(agg)
-
-        if self.head_agg == "concat":
-            outs = [_apply_activation(p, self.activation) for p in head_sums]
-            return outs[0] if len(outs) == 1 else concat_cols(outs)
-        acc = head_sums[0]
-        for part in head_sums[1:]:
-            acc = add(acc, part)
-        return _apply_activation(mul(acc, 1.0 / self.heads), self.activation)
+            alpha = segment_softmax(logits, (keys[:, None] * heads + head).ravel())
+        values = gather_rows(g, src_rows)
+        messages = reshape(scale_rows(values, alpha), (tgt.size, heads * fp))
+        out = segment_reduce(messages, tgt, num_nodes, "sum")
+        if self.use_bias:
+            out = add(out, concat_flat([leaves[f"{self.name}.bias.k{k}"] for k in range(heads)]))
+        if self.head_agg == "mean":
+            out = mul(sum_blocks(out, heads), 1.0 / heads)
+        return _apply_activation(out, self.activation)
 
 
 def rgcn_forward(

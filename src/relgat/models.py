@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .graph import GraphFormatError
 from .layers import RgatLayer, glorot
 from .tensor import (
     Tape,
@@ -426,13 +427,15 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("dtype") != "<f8":
         raise ValueError(f"unsupported checkpoint dtype {manifest.get('dtype')!r}")
+    try:
+        total, entries = manifest["total_values"], manifest["parameters"]
+    except KeyError as exc:
+        raise GraphFormatError(f"checkpoint manifest lacks {exc.args[0]!r}") from None
     raw = np.frombuffer((path / "params.bin").read_bytes(), dtype="<f8")
-    if raw.size != manifest["total_values"]:
-        raise ValueError(
-            f"checkpoint holds {raw.size} values, manifest declares {manifest['total_values']}"
-        )
+    if raw.size != total:
+        raise ValueError(f"checkpoint holds {raw.size} values, manifest declares {total}")
     params = {}
-    for entry in manifest["parameters"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         start = entry["offset"]

@@ -6,7 +6,8 @@ finite-difference checks are meaningful.
 
 Every public op validates its inputs, checks the result for non-finite
 entries (raising OverflowError otherwise), and records a backward closure on
-the tape. ``Tape.backward`` walks the recorded ops once, in reverse order.
+the tape. ``Tape.backward`` walks the recorded ops once, in reverse order,
+and frees each op's output gradient as soon as that op's backward has run.
 
 Tensors point at their tape, never the other way round: the tape keeps leaf
 ids and shapes, and backward closures capture ids and arrays, not tensors.
@@ -26,6 +27,7 @@ __all__ = [
     "Tape",
     "Tensor",
     "add",
+    "block_matmul",
     "concat_cols",
     "concat_flat",
     "concat_rows",
@@ -46,6 +48,7 @@ __all__ = [
     "slice_rows",
     "sub",
     "sum_all",
+    "sum_blocks",
     "sum_squares",
     "tanh",
 ]
@@ -76,32 +79,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(id={self.id}, shape={self.shape})"
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __radd__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other) -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
 
 class _Node:
@@ -124,9 +103,6 @@ class GradientMap:
             return self._by_id[leaf.id]
         except KeyError:
             raise KeyError(f"tensor {leaf.id} is not a leaf of this tape") from None
-
-    def by_id(self, tensor_id: int) -> np.ndarray:
-        return self._by_id[tensor_id]
 
 
 class Tape:
@@ -185,11 +161,12 @@ class Tape:
         if loss.ndim != 0:
             raise ValueError(f"loss must be a recorded scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {loss.id: np.ones(())}
+        # an op's output gradient is complete once its backward runs, since
+        # every consumer was recorded later; drop it there so intermediate
+        # gradients do not pile up until the walk ends
         for node in reversed(self._ops):
-            g = grads.get(node.out_id)
-            if g is None:
-                continue
-            node.backward(g, grads)
+            if node.out_id in grads:
+                node.backward(grads.pop(node.out_id), grads)
         out: dict[int, np.ndarray] = {}
         for leaf_id, shape in self._leaves:
             g = grads.get(leaf_id)
@@ -233,7 +210,10 @@ def _sort_by_segment_and_value(data: np.ndarray, segments: np.ndarray, counts: n
     by_value = np.argsort(by_column, axis=1)
     rank = np.empty_like(by_value)
     np.put_along_axis(rank, by_value, np.arange(rows), axis=1)
-    order = np.argsort(segments * rows + rank, axis=1)
+    del by_value
+    rank += segments * rows
+    order = np.argsort(rank, axis=1)
+    del rank
     starts = (np.cumsum(counts) - counts)[counts > 0]
     return np.take_along_axis(by_column, order, axis=1), starts
 
@@ -268,6 +248,97 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _acc(grads, b_id, a_data.T @ g)
 
     return tape.record(out, backward)
+
+
+def block_matmul(
+    x: Tensor,
+    w: Tensor,
+    blocks: int,
+    *,
+    shared: str | None = None,
+    window: tuple[int, int] | None = None,
+) -> Tensor:
+    """Many small matrix products as one op: block b of the result is x_b @ w_b.
+
+    Blocks are stacked row-wise: the result is (blocks*n, m) with block b in
+    rows b*n:(b+1)*n. x is blocked, (blocks*n, f) with x_b its b-th row
+    block, or one (n, f) matrix shared by every block (shared="x"). w is
+    blocked, (blocks*p, m) with w_b its b-th row block of height p, or rows
+    start:stop of it for window=(start, stop); or w is one (f, m) kernel
+    shared by every block (shared="w").
+
+    Every block is a contiguous slice, so it goes through the same BLAS call
+    a separate ``matmul`` makes, and a shared operand's gradient adds the
+    block terms in reverse block order. Values and gradients therefore equal
+    those of a loop of ``matmul`` ops recorded in block order, bit for bit.
+    """
+    tape = _check_tape(x, w)
+    if shared not in (None, "x", "w"):
+        raise ValueError(f"shared must be None, 'x' or 'w', got {shared!r}")
+    if x.ndim != 2 or w.ndim != 2 or blocks < 1:
+        raise ValueError(f"block_matmul expects matrices and blocks >= 1, got {x.shape}, {w.shape}")
+    n = x.shape[0] if shared == "x" else x.shape[0] // blocks
+    f, m = x.shape[1], w.shape[1]
+    p = f if shared == "w" else w.shape[0] // blocks
+    start, stop = window or (0, p)
+    if (
+        (shared != "x" and x.shape[0] != blocks * n)
+        or (shared != "w" and w.shape[0] != blocks * p)
+        or (shared == "w" and (window or w.shape[0] != f))
+        or not 0 <= start <= stop <= p
+        or stop - start != f
+    ):
+        raise ValueError(
+            f"block_matmul shape mismatch: {x.shape} @ {w.shape} in {blocks} blocks,"
+            f" kernel rows {window}"
+        )
+    x_id, x_data, w_id, w_data = x.id, x.data, w.id, w.data
+
+    def x_block(a, b):
+        return a if shared == "x" else a[b * n:(b + 1) * n]
+
+    def w_block(a, b):
+        return a if shared == "w" else a[b * p + start:b * p + stop]
+
+    out = np.zeros((blocks * n, m))
+    for b in range(blocks):
+        np.matmul(x_block(x_data, b), w_block(w_data, b), out=out[b * n:(b + 1) * n])
+
+    def backward(g, grads):
+        gx = None if shared == "x" else np.zeros(x_data.shape)
+        gw = None if shared == "w" else np.zeros(w_data.shape)
+        for b in reversed(range(blocks)):
+            g_b, x_b, w_b = g[b * n:(b + 1) * n], x_block(x_data, b), w_block(w_data, b)
+            if gx is None:
+                _acc(grads, x_id, g_b @ w_b.T)
+            else:
+                np.matmul(g_b, w_b.T, out=x_block(gx, b))
+            if gw is None:
+                _acc(grads, w_id, x_b.T @ g_b)
+            else:
+                np.matmul(x_b.T, g_b, out=w_block(gw, b))
+        if gx is not None:
+            _acc(grads, x_id, gx)
+        if gw is not None:
+            _acc(grads, w_id, gw)
+
+    return tape.record(out, backward)
+
+
+def sum_blocks(a: Tensor, blocks: int) -> Tensor:
+    """Adds the equal column blocks of a matrix left to right:
+    (n, blocks*m) -> (n, m)."""
+    if a.ndim != 2 or blocks < 1 or a.shape[1] % blocks:
+        raise ValueError(f"cannot split {a.shape} into {blocks} column blocks")
+    a_id, m = a.id, a.shape[1] // blocks
+    out = a.data[:, :m].copy()
+    for b in range(1, blocks):
+        out = out + a.data[:, b * m:(b + 1) * m]
+
+    def backward(g, grads):
+        _acc(grads, a_id, np.tile(g, (1, blocks)))
+
+    return a.tape.record(out, backward)
 
 
 def add(a: Tensor, b) -> Tensor:

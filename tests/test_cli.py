@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relgat.cli import main
+from relgat.models import config_hash
 
 
 def _gen(tmp_path, name="data.json", seed=3, graphs=16, nodes=8):
@@ -196,6 +197,45 @@ def test_eval_rejects_checkpoint_whose_config_does_not_match_its_hash(tmp_path, 
 
     manifest_path.write_text(original)
     assert main(args) == 0
+
+
+def _drop_config(manifest):
+    del manifest["config"]
+
+
+def _drop_model_config(manifest):
+    del manifest["config"]["model"]
+
+
+def _add_unknown_model_field(manifest):
+    manifest["config"]["model"]["fancy_option"] = 1
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_drop_config, "config.model"),
+        (_drop_model_config, "config.model"),
+        (lambda m: m.pop("parameters"), "parameters"),
+        (lambda m: m.pop("total_values"), "total_values"),
+        (_add_unknown_model_field, "fancy_option"),
+    ],
+    ids=["no-config", "no-model-config", "no-parameters", "no-total-values", "unknown-model-field"],
+)
+def test_eval_rejects_incomplete_manifest(tmp_path, capsys, edit, message):
+    data = _gen(tmp_path)
+    out = _train(tmp_path, data, "run")
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    if "config" in manifest:
+        # a consistent hash, so the edit itself is what gets caught
+        manifest["config_hash"] = config_hash(manifest["config"])
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

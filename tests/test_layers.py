@@ -1,6 +1,9 @@
 """Attention layer math against hand-computed values, plus structural
-checks: normalization supports, head aggregation, basis composition, and
-the uniform-coefficient baselines."""
+checks: normalization supports, head aggregation, basis composition, the
+uniform-coefficient baselines, and the all-slot forward against a per-slot
+loop."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,11 +13,26 @@ from relgat.layers import (
     RgatLayer,
     attention_coefficients,
     attention_logits,
-    compose_kernels,
     glorot,
     rgcn_forward,
 )
-from relgat.tensor import Tape, matmul, sum_all
+from relgat.tensor import (
+    Tape,
+    add,
+    concat_cols,
+    concat_rows,
+    gather_rows,
+    matmul,
+    mul,
+    relu,
+    reshape,
+    scale_rows,
+    segment_reduce,
+    slice_rows,
+    sum_all,
+    sum_squares,
+    tanh,
+)
 
 RNG = np.random.default_rng
 
@@ -196,18 +214,6 @@ def test_basis_clamp_warns():
     assert layer.params["l.w_basis"].shape == (4, 3 * 2)
 
 
-def test_compose_kernels_one_hot_selects_basis_row_exactly():
-    tape = Tape()
-    rng = RNG(4)
-    bases = rng.normal(size=(3, 8))
-    coeff = np.zeros((4, 3))
-    coeff[2, 1] = 1.0
-    c = tape.leaf(coeff)
-    b = tape.leaf(bases)
-    kernel = compose_kernels(c, b, 2, (2, 4))
-    assert np.array_equal(kernel.data, bases[1].reshape(2, 4))
-
-
 def test_basis_layer_parameter_groups():
     layer = RgatLayer(RNG(0), "l", 3, 4, 2, 2, basis_w=2, basis_a=3)
     assert layer.w_parameter_names() == ["l.w_basis", "l.w_coeff"]
@@ -260,7 +266,23 @@ def test_rgcn_forward_empty_relations_gives_zeros_with_grad_path():
     assert np.array_equal(grads[w], np.zeros((2, 3)))
 
 
-def test_layer_forward_permutation_equivariant_bitwise():
+_VARIANTS = list(
+    itertools.product(["additive", "multiplicative"], [1, 2, 3], ["concat", "mean"], ["dense", "basis"])
+)
+_VARIANT_IDS = ["-".join(map(str, v)) for v in _VARIANTS]
+
+
+def _variant_layer(rng, f, r, logit_mode, heads, head_agg, kernels, **kwargs):
+    units = 3 * heads if head_agg == "concat" else 3
+    basis = 2 if kernels == "basis" else None
+    return RgatLayer(
+        rng, "l", f, units, heads, r, logit_mode=logit_mode, head_agg=head_agg,
+        basis_w=basis, basis_a=basis, **kwargs
+    )
+
+
+@pytest.mark.parametrize("logit_mode,heads,head_agg,kernels", _VARIANTS, ids=_VARIANT_IDS)
+def test_layer_forward_permutation_equivariant_bitwise(logit_mode, heads, head_agg, kernels):
     rng = RNG(6)
     n, r, f = 12, 3, 4
     triples = []
@@ -272,7 +294,7 @@ def test_layer_forward_permutation_equivariant_bitwise():
             triples.append(list(e))
     feats = rng.normal(size=(n, f))
     g = build_graph(n, r, triples, feats)
-    layer = RgatLayer(rng, "l", f, 6, 2, r, norm_kind="argat")
+    layer = _variant_layer(rng, f, r, logit_mode, heads, head_agg, kernels, norm_kind="argat")
 
     perm = rng.permutation(n)  # perm[old] = new id
     p_triples = [[rel, int(perm[t]), int(perm[s])] for rel, t, s in triples]
@@ -288,6 +310,124 @@ def test_layer_forward_permutation_equivariant_bitwise():
     assert np.array_equal(out2.data[perm], out1.data)
 
 
+def _per_slot_forward(layer, leaves, edges, num_nodes, h, constant=False):
+    """The loop the all-slot forward replaced: per head, one projection,
+    logit vector and gather per relation, then one softmax and aggregation."""
+    name, heads, fp = layer.name, layer.heads, layer.per_head
+
+    def kernel(kind, basis, r, k, shape):
+        if basis is None:
+            return leaves[f"{name}.{kind}.r{r}k{k}"]
+        row = slice_rows(leaves[f"{name}.{kind}_coeff"], r * heads + k, r * heads + k + 1)
+        return reshape(matmul(row, leaves[f"{name}.{kind}_basis"]), shape)
+
+    kind = f"c-{layer.norm_kind}" if constant else layer.norm_kind
+    tgt_all = np.concatenate([np.asarray(t, dtype=np.int64) for t, _ in edges])
+    head_sums = []
+    for k in range(heads):
+        projected, logits = [], []
+        for r, (tgt, src) in enumerate(edges):
+            w = kernel("w", layer.basis_w, r, k, (layer.in_dim, fp))
+            a = kernel("a", layer.basis_a, r, k, (2 * fp, layer.attention_dim))
+            g = matmul(h, w)
+            projected.append(g)
+            if not constant:
+                logits.append(attention_logits(g, tgt, src, a, layer.logit_mode, layer.slope))
+        att = attention_coefficients(None if constant else logits, edges, num_nodes, kind)
+        values = concat_rows([gather_rows(p, src) for p, (_, src) in zip(projected, edges)])
+        agg = segment_reduce(scale_rows(values, att.coefficients), tgt_all, num_nodes, "sum")
+        if layer.use_bias:
+            agg = add(agg, leaves[f"{name}.bias.k{k}"])
+        head_sums.append(agg)
+    if layer.head_agg == "concat":
+        out = head_sums[0] if heads == 1 else concat_cols(head_sums)
+    else:
+        out = head_sums[0]
+        for part in head_sums[1:]:
+            out = add(out, part)
+        out = mul(out, 1.0 / heads)
+    return {"relu": relu, "tanh": tanh, "identity": lambda t: t}[layer.activation](out)
+
+
+def _forward_and_gradients(forward, layer, g, constant):
+    """Output, input gradient and every parameter gradient of a random
+    linear read-out plus an L2 term, as training would record them."""
+    tape = Tape()
+    leaves = _leaves(tape, layer)
+    h = tape.leaf(g.features)
+    out = forward(leaves, g.edges, g.num_nodes, h, constant=constant)
+    readout = RNG(99).normal(size=out.shape)
+    loss = sum_all(mul(out, readout))
+    for leaf in leaves.values():
+        loss = add(loss, mul(sum_squares(leaf), 1e-3))
+    grads = tape.backward(loss)
+    return [out.data, grads[h]] + [grads[leaf] for leaf in leaves.values()]
+
+
+@pytest.mark.parametrize("norm_kind", ["wirgat", "argat"])
+@pytest.mark.parametrize("logit_mode,heads,head_agg,kernels", _VARIANTS, ids=_VARIANT_IDS)
+def test_layer_matches_per_slot_loop_bitwise(logit_mode, heads, head_agg, kernels, norm_kind):
+    rng = RNG(12)
+    n, r, f = 9, 3, 4
+    full = sorted(
+        {(rel, int(rng.integers(n)), int(rng.integers(n))) for rel in range(r) for _ in range(12)}
+    )
+    feats = rng.normal(size=(n, f))
+    graphs = [
+        build_graph(n, r, [list(t) for t in full], feats),
+        build_graph(n, r, [list(t) for t in full if t[0] != 1], feats),  # relation 1 has no edges
+        build_graph(n, r, [], feats),
+    ]
+    layer = _variant_layer(
+        rng, f, r, logit_mode, heads, head_agg, kernels, norm_kind=norm_kind, activation="tanh"
+    )
+
+    def reference(leaves, edges, num_nodes, h, constant):
+        return _per_slot_forward(layer, leaves, edges, num_nodes, h, constant)
+
+    for g, constant in itertools.product(graphs, [False, True]):
+        got = _forward_and_gradients(layer.forward, layer, g, constant)
+        want = _forward_and_gradients(reference, layer, g, constant)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"head_agg": "mean"}, {"logit_mode": "multiplicative"}, {"basis_w": 1, "basis_a": 1}],
+    ids=["concat", "mean", "multiplicative", "basis"],
+)
+def test_layer_op_count_does_not_depend_on_relations_or_heads(kwargs):
+    counts = []
+    for relations, heads in ((1, 1), (6, 4)):
+        rng = RNG(13)
+        n = 10
+        triples = set()
+        for r in range(relations):
+            for _ in range(8):
+                triples.add((r, int(rng.integers(n)), int(rng.integers(n))))
+        g = build_graph(n, relations, [list(t) for t in sorted(triples)], rng.normal(size=(n, 3)))
+        units = 2 * heads if kwargs.get("head_agg", "concat") == "concat" else 2
+        layer = RgatLayer(rng, "l", 3, units, heads, relations, **kwargs)
+        for constant in (False, True):
+            tape = Tape()
+            leaves = _leaves(tape, layer)
+            h = tape.leaf(g.features)
+            before = tape.num_recorded
+            layer.forward(leaves, g.edges, n, h, constant=constant)
+            counts.append(tape.num_recorded - before)
+    assert counts[:2] == counts[2:]
+
+
+def test_layer_rejects_features_for_another_node_count():
+    rng = RNG(14)
+    g = build_graph(5, 1, [[0, 1, 2]], rng.normal(size=(5, 3)))
+    layer = RgatLayer(rng, "l", 3, 4, 2, 1)
+    tape = Tape()
+    with pytest.raises(ValueError, match="rows for 5 nodes"):
+        layer.forward(_leaves(tape, layer), g.edges, 5, tape.leaf(rng.normal(size=(6, 3))))
+
+
 def test_layer_constant_mode_matches_explicit_constant_kinds():
     rng = RNG(7)
     g = build_graph(5, 2, [[0, 1, 2], [0, 1, 3], [1, 1, 0]], rng.normal(size=(5, 3)))
@@ -298,10 +438,8 @@ def test_layer_constant_mode_matches_explicit_constant_kinds():
     out = layer.forward(leaves, g.edges, 5, h, constant=True)
     # reproduce by hand: uniform per (target, relation), summed
     att = attention_coefficients(None, g.edges, 5, "c-wirgat")
-    w0, _ = layer.kernels(leaves, 0, 0)
-    w1, _ = layer.kernels(leaves, 1, 0)
-    g0 = matmul(h, w0).data
-    g1 = matmul(h, w1).data
+    g0 = matmul(h, leaves["l.w.r0k0"]).data
+    g1 = matmul(h, leaves["l.w.r1k0"]).data
     expected = np.zeros((5, 4))
     vals = att.coefficient_values()
     expected[1] = vals[0] * g0[2] + vals[1] * g0[3] + vals[2] * g1[0]

@@ -1,6 +1,8 @@
 """Tape autodiff: frozen forward values, hand-derived gradients, and the
 structural guarantees (id ordering, single-visit backward, finite checks)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from relgat.tensor import (
     KinkError,
     Tape,
     add,
+    block_matmul,
     concat_cols,
     concat_flat,
     concat_rows,
@@ -29,6 +32,7 @@ from relgat.tensor import (
     slice_rows,
     sub,
     sum_all,
+    sum_blocks,
     sum_squares,
     tanh,
 )
@@ -420,3 +424,111 @@ def test_grad_check_raises_on_persistent_kink():
 
     with pytest.raises(KinkError):
         grad_check(f, {"a": np.array([1.0]), "b": np.array([1.0])})
+
+
+def test_backward_frees_each_op_gradient_once_used():
+    tape = Tape()
+    x = tape.leaf(np.ones((500, 200)))
+    y = x
+    for _ in range(30):
+        y = mul(y, 1.0001)
+    loss = sum_all(y)
+    tracemalloc.start()
+    try:
+        grads = tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the leaf's gradient plus an op's incoming and outgoing one; keeping
+    # every intermediate gradient would need about 30 arrays
+    assert peak < 5 * x.data.nbytes
+    assert grads[x].shape == (500, 200)
+
+
+# (x shape, w shape, blocks, shared, kernel rows)
+_BLOCK_FORMS = {
+    "shared-input": ((4, 3), (9, 2), 3, "x", None),
+    "blocked": ((12, 2), (12, 2), 3, None, (2, 4)),  # rows 2:4 of each 4-row kernel block
+    "shared-kernel": ((6, 2), (2, 5), 3, "w", None),
+    "one-block": ((4, 3), (3, 2), 1, None, None),
+}
+
+
+@pytest.mark.parametrize("form", list(_BLOCK_FORMS))
+def test_block_matmul_gradients_match_central_differences(form):
+    x_shape, w_shape, blocks, shared, window = _BLOCK_FORMS[form]
+    rng = np.random.default_rng(0)
+    rows = x_shape[0] * (blocks if shared == "x" else 1)
+    readout = rng.normal(size=(rows, w_shape[1]))
+
+    def f(tape, leaves):
+        out = block_matmul(leaves["x"], leaves["w"], blocks, shared=shared, window=window)
+        return sum_all(mul(tanh(out), readout))
+
+    err = grad_check(f, {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape)})
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("form", list(_BLOCK_FORMS))
+@pytest.mark.parametrize("f,m", [(3, 2), (1, 2), (3, 1)])
+def test_block_matmul_equals_a_loop_of_matmuls_bitwise(form, f, m):
+    _, _, blocks, shared, _ = _BLOCK_FORMS[form]
+    p, window = (2 * f, (f, 2 * f)) if form == "blocked" else (f, None)
+    start = window[0] if window else 0
+    n = 1 if shared == "w" else 40
+    rng = np.random.default_rng(1)
+    x0 = rng.normal(size=(n if shared == "x" else blocks * n, f))
+    w0 = rng.normal(size=(f, m) if shared == "w" else (blocks * p, m))
+    readout = rng.normal(size=(blocks * n, m))
+
+    def run(loop):
+        tape = Tape()
+        x, w = tape.leaf(x0), tape.leaf(w0)
+        if loop:
+            xs = [x] if shared == "x" else [tape.leaf(x0[b * n:(b + 1) * n]) for b in range(blocks)]
+            ws = [
+                w if shared == "w" else slice_rows(w, b * p + start, b * p + start + f)
+                for b in range(blocks)
+            ]
+            outs = [matmul(xs[0 if shared == "x" else b], ws[b]) for b in range(blocks)]
+            loss = sum_all(mul(outs[0], readout[:n]))
+            for b in range(1, blocks):
+                loss = add(loss, sum_all(mul(outs[b], readout[b * n:(b + 1) * n])))
+            out = np.concatenate([o.data for o in outs])
+        else:
+            xs = [x]
+            block = block_matmul(x, w, blocks, shared=shared, window=window)
+            loss, out = sum_all(mul(block, readout)), block.data
+        # a term recorded after the products, as the L2 penalty is in training
+        grads = tape.backward(add(loss, sum_squares(w)))
+        return out, np.concatenate([grads[xb] for xb in xs]), grads[w]
+
+    for got, want in zip(run(loop=False), run(loop=True)):
+        assert np.array_equal(got, want)
+
+
+def test_block_matmul_rejects_mismatched_shapes():
+    tape = Tape()
+    x = tape.leaf(np.ones((6, 2)))
+    with pytest.raises(ValueError, match="mismatch"):
+        block_matmul(x, tape.leaf(np.ones((4, 2))), 3)  # 4 kernel rows do not split in 3
+    with pytest.raises(ValueError, match="mismatch"):
+        block_matmul(x, tape.leaf(np.ones((9, 2))), 3)  # 3-row kernels for 2-wide blocks
+    with pytest.raises(ValueError, match="mismatch"):
+        block_matmul(x, tape.leaf(np.ones((9, 2))), 3, window=(2, 4))
+    with pytest.raises(ValueError, match="mismatch"):
+        block_matmul(x, tape.leaf(np.ones((3, 2))), 3, shared="w")
+
+
+def test_sum_blocks_adds_left_to_right_and_tiles_the_gradient():
+    rng = np.random.default_rng(2)
+    a0 = rng.normal(size=(5, 6))
+    tape = Tape()
+    a = tape.leaf(a0)
+    out = sum_blocks(a, 3)
+    assert np.array_equal(out.data, (a0[:, 0:2] + a0[:, 2:4]) + a0[:, 4:6])
+    readout = rng.normal(size=(5, 2))
+    grads = tape.backward(sum_all(mul(out, readout)))
+    assert np.array_equal(grads[a], np.tile(readout, (1, 3)))
+    with pytest.raises(ValueError, match="column blocks"):
+        sum_blocks(a, 4)
