@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .models import (
 )
 from .search import (
     best_trial,
+    build_model,
     inductive_space,
     load_space,
     run_sweep,
@@ -98,40 +100,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _build_model(task, args, rng):
-    if isinstance(task, NodeTask):
-        graph = task.graph
-        cfg = NodeClassifierConfig(
-            in_dim=graph.feature_dim,
-            num_relations=graph.num_relations,
-            num_classes=task.labels.num_classes,
-            hidden_units=args.hidden_units,
-            heads=args.heads,
-            logit_mode=args.logit_mode,
-            norm_kind=args.norm_kind,
-            basis_w=args.basis_w,
-            basis_a=args.basis_a,
-            use_bias=not args.no_bias,
-            one_hot=graph.one_hot_features,
-            embed_dim=args.embed_dim if graph.one_hot_features else None,
-        )
-        return NodeClassifier(rng, cfg), "node"
-    graph0 = task.graphs[0]
-    cfg = GraphClassifierConfig(
-        feature_dim=graph0.feature_dim,
-        num_relations=graph0.num_relations,
-        num_tasks=task.labels.graph_classes.shape[1],
-        num_classes=task.labels.num_classes,
-        graph_units=args.graph_units,
-        dense_units=args.dense_units,
-        heads=args.heads,
-        logit_mode=args.logit_mode,
-        norm_kind=args.norm_kind,
-        use_bias=not args.no_bias,
-    )
-    return GraphClassifier(rng, cfg), "graph"
-
-
 def _l2_mapping(args) -> dict[str, float]:
     base = args.l2 or 0.0
     out = {}
@@ -167,7 +135,9 @@ def _write_metrics(path: Path, history: list[dict]) -> None:
 
 def _cmd_train(args) -> int:
     task = parse_dataset(Path(args.data).read_text())
-    model, kind = _build_model(task, args, np.random.default_rng(args.seed))
+    kind = "node" if isinstance(task, NodeTask) else "graph"
+    hyper = {**vars(args), "use_bias": not args.no_bias}
+    model = build_model(task, hyper, np.random.default_rng(args.seed))
     tcfg = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -186,16 +156,7 @@ def _cmd_train(args) -> int:
     run_config = {
         "model": model_config,
         "task": kind,
-        "train": {
-            "learning_rate": tcfg.learning_rate,
-            "epochs": tcfg.epochs,
-            "patience": tcfg.patience,
-            "batch_size": tcfg.batch_size,
-            "feature_dropout": tcfg.feature_dropout,
-            "edge_dropout": tcfg.edge_dropout,
-            "l2": tcfg.l2,
-            "seed": tcfg.seed,
-        },
+        "train": asdict(tcfg),
     }
     save_checkpoint(
         out,

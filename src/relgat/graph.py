@@ -83,9 +83,6 @@ class RelGraph:
     def num_edges(self) -> int:
         return sum(len(t) for t, _ in self.edges)
 
-    def relation_edges(self, relation: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.edges[relation]
-
     def edge_triples(self) -> list[tuple[int, int, int]]:
         out = []
         for r, (tgt, src) in enumerate(self.edges):
@@ -140,6 +137,10 @@ def build_graph(
     self_relation: bool = False,
 ) -> RelGraph:
     edges = _canonical_edges(num_nodes, num_relations, triples)
+    if self_relation:
+        ids = np.arange(num_nodes)
+        if not all(np.array_equal(half, ids) for half in edges[-1]):
+            raise GraphFormatError("the self relation must hold one (i, i) edge per node")
     if one_hot:
         if features is not None:
             raise GraphFormatError("one-hot graphs carry no explicit feature matrix")
@@ -335,6 +336,9 @@ def _graph_body(doc: dict) -> RelGraph:
         features = doc["features"]
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"malformed document: {exc}") from None
+    self_relation = doc.get("self_relation", False)
+    if not isinstance(self_relation, bool):
+        raise GraphFormatError("self_relation must be true or false")
     if features == ONE_HOT:
         fdim = doc.get("feature_dim")
         return build_graph(
@@ -343,6 +347,7 @@ def _graph_body(doc: dict) -> RelGraph:
             edges,
             one_hot=True,
             feature_dim=None if fdim is None else int(fdim),
+            self_relation=self_relation,
         )
     feat = np.asarray(features, dtype=np.float64)
     declared = doc.get("feature_dim")
@@ -352,6 +357,7 @@ def _graph_body(doc: dict) -> RelGraph:
         edges,
         feat,
         feature_dim=None if declared is None else int(declared),
+        self_relation=self_relation,
     )
 
 
@@ -403,13 +409,16 @@ def _split_payload(split: Split | None):
 
 
 def _graph_payload(graph: RelGraph) -> dict:
-    return {
+    payload = {
         "num_nodes": graph.num_nodes,
         "num_relations": graph.num_relations,
         "feature_dim": graph.feature_dim,
         "features": ONE_HOT if graph.one_hot_features else graph.features.tolist(),
         "edges": [[r, t, s] for (r, t, s) in graph.edge_triples()],
     }
+    if graph.self_relation:
+        payload["self_relation"] = True
+    return payload
 
 
 def serialize_graph(

@@ -99,21 +99,14 @@ def _uniform_coefficients(keys: np.ndarray) -> np.ndarray:
     return 1.0 / np.bincount(keys)[keys]
 
 
-def _edge_logits(qe: Tensor, ke: Tensor, mode: str, slope: float) -> Tensor:
+def _edge_logits(qe: Tensor, ke: Tensor, mode: str) -> Tensor:
     """One logit per row of the gathered target queries and source keys."""
     if mode == "additive":
-        return leaky_relu(reshape(add(qe, ke), (qe.shape[0],)), slope)
+        return leaky_relu(reshape(add(qe, ke), (qe.shape[0],)), LEAKY_SLOPE)
     return rowsum(mul(qe, ke))
 
 
-def attention_logits(
-    g: Tensor,
-    targets,
-    sources,
-    kernel: Tensor,
-    mode: str,
-    slope: float = LEAKY_SLOPE,
-) -> Tensor:
+def attention_logits(g: Tensor, targets, sources, kernel: Tensor, mode: str) -> Tensor:
     """Edge logits for one relation from projected features.
 
     g holds the relation's projected node features (N x F'); kernel is the
@@ -133,7 +126,7 @@ def attention_logits(
     src = np.asarray(sources, dtype=np.int64)
     q = matmul(g, slice_rows(kernel, 0, fp))
     k = matmul(g, slice_rows(kernel, fp, 2 * fp))
-    return _edge_logits(gather_rows(q, tgt), gather_rows(k, src), mode, slope)
+    return _edge_logits(gather_rows(q, tgt), gather_rows(k, src), mode)
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,6 @@ class RgatLayer:
         use_bias: bool = True,
         basis_w: int | None = None,
         basis_a: int | None = None,
-        slope: float = LEAKY_SLOPE,
     ):
         if logit_mode not in LOGIT_MODES:
             raise ValueError(f"unknown logit mode {logit_mode!r}")
@@ -281,7 +273,6 @@ class RgatLayer:
         self.use_bias = use_bias
         self.basis_w = basis_w
         self.basis_a = basis_a
-        self.slope = slope
 
         self.params: dict[str, np.ndarray] = {}
         if basis_w is None:
@@ -381,9 +372,7 @@ class RgatLayer:
             # slot's feature gradient adds up in the order a per-slot loop has
             query = block_matmul(g, a, slots, window=(0, fp))
             key = block_matmul(g, a, slots, window=(fp, 2 * fp))
-            logits = _edge_logits(
-                gather_rows(query, tgt_rows), gather_rows(key, src_rows), self.logit_mode, self.slope
-            )
+            logits = _edge_logits(gather_rows(query, tgt_rows), gather_rows(key, src_rows), self.logit_mode)
             alpha = segment_softmax(logits, (keys[:, None] * heads + head).ravel())
         values = gather_rows(g, src_rows)
         messages = reshape(scale_rows(values, alpha), (tgt.size, heads * fp))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import GraphTask, NodeTask, Split, parse_dataset, serialize_dataset
+from .graph import GraphTask, NodeTask, Split
 from .models import (
     GraphClassifier,
     GraphClassifierConfig,
@@ -36,6 +36,7 @@ __all__ = [
     "OneOf",
     "Uniform",
     "best_trial",
+    "build_model",
     "inductive_space",
     "load_space",
     "run_sweep",
@@ -231,39 +232,79 @@ def _train_config(config: dict, train_seed: int, overrides: dict | None) -> Trai
     return TrainConfig(**kwargs)
 
 
-def _run_trial(payload: dict) -> dict:
-    """Executes one trial; importable at module top level so process pools
-    can pickle it."""
-    trial_id = payload["trial"]
-    master_seed = payload["master_seed"]
-    space = {name: _prior_from_dict(d) for name, d in payload["space"].items()}
-    sample_seed, model_seed, train_seed = trial_seeds(master_seed, trial_id)
-    config = sample_config(space, np.random.default_rng(sample_seed))
-    task = parse_dataset(payload["dataset"])
-    variant = payload["variant"]
-    overrides = payload.get("overrides")
-    folds = payload.get("folds")
-    fold_limit = payload.get("fold_limit")
+def build_model(task, hyper: dict, rng: np.random.Generator):
+    """The classifier for a task, from the `relgat train` flags or from a
+    sweep trial's sampled configuration plus its variant. hyper maps the
+    search spaces' names, logit_mode, norm_kind and embed_dim to values;
+    sizes it lacks take the flags' defaults, and embed_dim counts only for
+    one-hot features."""
+    shared = {
+        "heads": int(hyper.get("heads", 1)),
+        "logit_mode": hyper["logit_mode"],
+        "norm_kind": hyper["norm_kind"],
+        "use_bias": bool(hyper.get("use_bias", True)),
+    }
+    if isinstance(task, NodeTask):
+        graph = task.graph
+        return NodeClassifier(
+            rng,
+            NodeClassifierConfig(
+                in_dim=graph.feature_dim,
+                num_relations=graph.num_relations,
+                num_classes=task.labels.num_classes,
+                hidden_units=int(hyper.get("hidden_units", 16)),
+                basis_w=hyper.get("basis_w"),
+                basis_a=hyper.get("basis_a"),
+                one_hot=graph.one_hot_features,
+                embed_dim=hyper.get("embed_dim") if graph.one_hot_features else None,
+                **shared,
+            ),
+        )
+    graph0 = task.graphs[0]
+    return GraphClassifier(
+        rng,
+        GraphClassifierConfig(
+            feature_dim=graph0.feature_dim,
+            num_relations=graph0.num_relations,
+            num_tasks=task.labels.graph_classes.shape[1],
+            num_classes=task.labels.num_classes,
+            graph_units=int(hyper.get("graph_units", 32)),
+            dense_units=int(hyper.get("dense_units", 64)),
+            **shared,
+        ),
+    )
 
+
+@dataclass(frozen=True)
+class _Sweep:
+    """What every trial of one sweep shares. Pool workers receive it
+    pickled, task included, so a trial runs on the task it was given."""
+
+    task: NodeTask | GraphTask
+    space: dict
+    master_seed: int
+    variant: dict
+    overrides: dict | None
+    folds: int | None
+    fold_limit: int | None
+
+
+def _run_trial(trial: tuple[_Sweep, int]) -> dict:
+    """Executes one (sweep, trial id); importable at module top level so
+    process pools can pickle it."""
+    sweep, trial_id = trial
+    sample_seed, model_seed, train_seed = trial_seeds(sweep.master_seed, trial_id)
+    config = sample_config(sweep.space, np.random.default_rng(sample_seed))
     record = {
         "trial": trial_id,
         "seed": train_seed,
         "config": config,
         "config_hash": config_hash(config),
-        "variant": variant,
+        "variant": sweep.variant,
         "status": "ok",
     }
     try:
-        if isinstance(task, NodeTask):
-            objective, metrics = _node_objective(
-                task, config, variant, model_seed, train_seed, overrides
-            )
-        else:
-            objective, metrics = _graph_objective(
-                task, config, variant, model_seed, train_seed, overrides, folds, fold_limit
-            )
-        record["objective"] = objective
-        record["metrics"] = metrics
+        record["objective"], record["metrics"] = _objective(sweep, config, model_seed, train_seed)
     except DivergenceError as exc:
         record["status"] = "diverged"
         record["objective"] = None
@@ -271,54 +312,25 @@ def _run_trial(payload: dict) -> dict:
     return record
 
 
-def _node_objective(task, config, variant, model_seed, train_seed, overrides):
-    graph = task.graph
-    num_classes = task.labels.num_classes
-    mcfg = NodeClassifierConfig(
-        in_dim=graph.feature_dim,
-        num_relations=graph.num_relations,
-        num_classes=num_classes,
-        hidden_units=int(config.get("hidden_units", 16)),
-        heads=int(config.get("heads", 1)),
-        logit_mode=variant["logit_mode"],
-        norm_kind=variant["norm_kind"],
-        basis_w=config.get("basis_w"),
-        basis_a=config.get("basis_a"),
-        use_bias=bool(config.get("use_bias", True)),
-        one_hot=graph.one_hot_features,
-    )
-    model = NodeClassifier(np.random.default_rng(model_seed), mcfg)
-    result = train(model, task, _train_config(config, train_seed, overrides))
-    return result.best_metric, {
-        "best_epoch": result.best_epoch,
-        "epochs_run": result.epochs_run,
-        "val_accuracy": result.best_metric,
-    }
+def _objective(sweep: _Sweep, config: dict, model_seed: int, train_seed: int):
+    """Trains the trial's model on the task, or for graph tasks with folds
+    on each of the first fold_limit folds of train + validation, and
+    returns the objective with the record's metrics."""
+    task = sweep.task
+    # a trial never sets embed_dim, even when its space names one
+    hyper = {**config, **sweep.variant, "embed_dim": None}
+    tcfg = _train_config(config, train_seed, sweep.overrides)
 
+    def fit(on):
+        return train(build_model(on, hyper, np.random.default_rng(model_seed)), on, tcfg)
 
-def _graph_objective(task, config, variant, model_seed, train_seed, overrides, folds, fold_limit):
-    graph0 = task.graphs[0]
-    num_classes = task.labels.num_classes
-    mcfg = GraphClassifierConfig(
-        feature_dim=graph0.feature_dim,
-        num_relations=graph0.num_relations,
-        num_tasks=task.labels.graph_classes.shape[1],
-        num_classes=num_classes,
-        graph_units=int(config.get("graph_units", 32)),
-        dense_units=int(config.get("dense_units", 64)),
-        heads=int(config.get("heads", 1)),
-        logit_mode=variant["logit_mode"],
-        norm_kind=variant["norm_kind"],
-        use_bias=bool(config.get("use_bias", True)),
-    )
-    tcfg = _train_config(config, train_seed, overrides)
-    if not folds:
-        model = GraphClassifier(np.random.default_rng(model_seed), mcfg)
-        result = train(model, task, tcfg)
+    if isinstance(task, NodeTask) or not sweep.folds:
+        result = fit(task)
+        metric = "val_accuracy" if isinstance(task, NodeTask) else "val_metric"
         return result.best_metric, {
             "best_epoch": result.best_epoch,
             "epochs_run": result.epochs_run,
-            "val_metric": result.best_metric,
+            metric: result.best_metric,
         }
 
     pool = np.sort(
@@ -329,8 +341,8 @@ def _graph_objective(task, config, variant, model_seed, train_seed, overrides, f
             ]
         )
     )
-    assignments = kfold_split(pool.size, folds, train_seed)
-    limit = folds if fold_limit is None else min(fold_limit, folds)
+    assignments = kfold_split(pool.size, sweep.folds, train_seed)
+    limit = sweep.folds if sweep.fold_limit is None else min(sweep.fold_limit, sweep.folds)
     fold_metrics = []
     for i in range(limit):
         tr, va = assignments[i]
@@ -339,10 +351,7 @@ def _graph_objective(task, config, variant, model_seed, train_seed, overrides, f
             validation=tuple(int(v) for v in pool[va]),
             test=tuple(task.split.test),
         )
-        fold_task = GraphTask(task.graphs, task.labels, split)
-        model = GraphClassifier(np.random.default_rng(model_seed), mcfg)
-        result = train(model, fold_task, tcfg)
-        fold_metrics.append(result.best_metric)
+        fold_metrics.append(fit(GraphTask(task.graphs, task.labels, split)).best_metric)
     return float(np.mean(fold_metrics)), {
         "fold_metrics": fold_metrics,
         "folds_run": limit,
@@ -433,27 +442,14 @@ def run_sweep(
     done = _completed_trials(path)
     for record in done.values():
         _check_resumed(path, record, space, master_seed, variant)
-    pending = [i for i in range(num_trials) if i not in done]
-    dataset = serialize_dataset(task)
-    payloads = [
-        {
-            "trial": i,
-            "master_seed": master_seed,
-            "space": {name: prior.to_dict() for name, prior in space.items()},
-            "dataset": dataset,
-            "variant": variant,
-            "overrides": overrides,
-            "folds": folds,
-            "fold_limit": fold_limit,
-        }
-        for i in pending
-    ]
+    sweep = _Sweep(task, space, master_seed, variant, overrides, folds, fold_limit)
+    trials = [(sweep, i) for i in range(num_trials) if i not in done]
     if parallelism == 1:
-        for payload in payloads:
-            _append_record(path, _run_trial(payload))
+        for trial in trials:
+            _append_record(path, _run_trial(trial))
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_run_trial, p) for p in payloads]
+            futures = [pool.submit(_run_trial, trial) for trial in trials]
             for fut in as_completed(futures):
                 _append_record(path, fut.result())
 

@@ -110,6 +110,50 @@ def test_train_summary_byte_identical_across_runs(tmp_path):
     assert (out1 / "metrics.jsonl").read_bytes() == (out2 / "metrics.jsonl").read_bytes()
 
 
+def _one_hot_node_data(tmp_path):
+    from relgat.graph import LabelSet, NodeTask, Split, build_graph, serialize_dataset
+
+    n = 12
+    triples = [[i % 2, i, (i + 1) % n] for i in range(n)]
+    labels = LabelSet(kind="node", num_classes=2, node_classes={i: i % 2 for i in range(n)})
+    split = Split(train=tuple(range(6)), validation=(6, 7, 8), test=(9, 10, 11))
+    data = tmp_path / "onehot.json"
+    data.write_text(serialize_dataset(NodeTask(build_graph(n, 2, triples, one_hot=True), labels, split)))
+    return data
+
+
+# recorded when the train block of the run config was still written field by field
+PINNED_CONFIG_HASHES = {
+    "graph": "99bca8c0b798dc3f4b17ec0f3418a59e00536ba959642c68b8768ed718a525b8",
+    "node": "c56adf125814f44887c215e30dba4e7a7a619b2dbba2fef22c632155ae851a65",
+}
+
+
+@pytest.mark.parametrize("kind", ["graph", "node"])
+def test_train_config_hash_is_pinned(tmp_path, capsys, kind):
+    if kind == "graph":
+        data = _gen(tmp_path)
+        flags = ["--heads", "2", "--no-bias", "--batch-size", "8", "--l2", "1e-4"]
+    else:
+        data = _one_hot_node_data(tmp_path)
+        flags = ["--hidden-units", "4", "--embed-dim", "6", "--basis-w", "2", "--l2-layer1-w", "1e-3"]
+    flags += ["--lr", "0.02", "--feature-dropout", "0.1", "--edge-dropout", "0.2"]
+    out = _train(tmp_path, data, "run", seed=5, extra=flags)
+    summary = json.loads((out / "summary.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert summary["config_hash"] == manifest["config_hash"] == PINNED_CONFIG_HASHES[kind]
+
+
+def test_train_rejects_a_false_self_relation_claim(tmp_path, capsys):
+    doc = json.loads(_one_hot_node_data(tmp_path).read_text())
+    doc["self_relation"] = True  # the last relation is a ring, not the identity
+    data = tmp_path / "claim.json"
+    data.write_text(json.dumps(doc))
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "self relation" in capsys.readouterr().err
+
+
 def test_eval_reads_checkpoint(tmp_path, capsys):
     data = _gen(tmp_path)
     out = _train(tmp_path, data, "run")

@@ -151,6 +151,45 @@ def test_with_self_relation_appends_identity():
         with_self_relation(aug)
 
 
+def test_self_relation_document_round_trip():
+    plain = build_graph(3, 1, [[0, 0, 1]], _features(3, 2))
+    assert "self_relation" not in serialize_graph(plain)
+    for g in (with_self_relation(plain), with_self_relation(build_graph(3, 1, [], one_hot=True))):
+        doc = serialize_graph(g)
+        assert json.loads(doc)["self_relation"] is True
+        parsed, _, _ = parse_graph(doc)
+        assert parsed.self_relation and parsed.num_relations == 2
+        assert serialize_graph(parsed) == doc
+    pairs = generate_planted(3, 4, 5, 3, feature_dim=2, noise_edges=2)
+    labels = LabelSet(
+        kind="graph",
+        num_classes=2,
+        num_tasks=1,
+        graph_classes=np.array([[y] for _, y in pairs], dtype=np.int64),
+    )
+    task = GraphTask(
+        tuple(with_self_relation(g) for g, _ in pairs), labels, Split((0, 1), (2,), (3,))
+    )
+    back = parse_dataset(serialize_dataset(task))
+    assert all(g.self_relation for g in back.graphs)
+    assert serialize_dataset(back) == serialize_dataset(task)
+
+
+def test_self_relation_document_must_end_in_identity_relation():
+    doc = json.loads(serialize_graph(with_self_relation(build_graph(3, 1, [[0, 0, 1]], _features(3, 2)))))
+    for edges in (
+        [[0, 0, 1], [1, 0, 0], [1, 1, 1]],  # node 2 has no self edge
+        [[0, 0, 1], [1, 0, 0], [1, 1, 1], [1, 2, 2], [1, 2, 0]],  # an extra edge
+        [[1, 0, 1], [0, 0, 0], [0, 1, 1], [0, 2, 2]],  # identity stored first
+    ):
+        with pytest.raises(GraphFormatError, match="self relation"):
+            parse_graph(dict(doc, edges=edges))
+    with pytest.raises(GraphFormatError, match="self_relation"):
+        parse_graph(dict(doc, self_relation=1))
+    with pytest.raises(GraphFormatError, match="self relation"):
+        build_graph(2, 1, [[0, 0, 1]], _features(2, 2), self_relation=True)
+
+
 def test_batch_graphs_offsets_and_segments():
     g1 = build_graph(2, 2, [[0, 1, 0]], _features(2, 3, 1))
     g2 = build_graph(3, 2, [[1, 2, 0], [0, 0, 1]], _features(3, 3, 2))

@@ -332,7 +332,7 @@ def _per_slot_forward(layer, leaves, edges, num_nodes, h, constant=False):
             g = matmul(h, w)
             projected.append(g)
             if not constant:
-                logits.append(attention_logits(g, tgt, src, a, layer.logit_mode, layer.slope))
+                logits.append(attention_logits(g, tgt, src, a, layer.logit_mode))
         att = attention_coefficients(None if constant else logits, edges, num_nodes, kind)
         values = concat_rows([gather_rows(p, src) for p, (_, src) in zip(projected, edges)])
         agg = segment_reduce(scale_rows(values, att.coefficients), tgt_all, num_nodes, "sum")

@@ -216,14 +216,14 @@ def test_graph_classifier_dense_width_matches_task_count():
     assert model.params["dense1.w"].shape == (16, 16)  # pooled 2*graph_units
 
 
-def test_checkpoint_roundtrip_bitwise():
+def test_checkpoint_roundtrip_bitwise(tmp_path):
     rng = RNG(4)
     model = NodeClassifier(
         rng, NodeClassifierConfig(in_dim=3, num_relations=2, num_classes=2, hidden_units=4)
     )
     config = {"model": model.config.to_dict(), "task": "node"}
-    save_checkpoint("/tmp/ckpt_test", model.params, config, extra={"seed": 9})
-    params, manifest = load_checkpoint("/tmp/ckpt_test")
+    save_checkpoint(tmp_path, model.params, config, extra={"seed": 9})
+    params, manifest = load_checkpoint(tmp_path)
     assert list(params) == list(model.params)
     for name in params:
         assert np.array_equal(params[name], model.params[name])
@@ -231,26 +231,26 @@ def test_checkpoint_roundtrip_bitwise():
     assert manifest["config"]["task"] == "node"
     assert manifest["config_hash"] == config_hash(config)
     total = sum(v.size for v in model.params.values())
-    raw = open("/tmp/ckpt_test/params.bin", "rb").read()
+    raw = (tmp_path / "params.bin").read_bytes()
     assert len(raw) == total * 8  # little-endian float64
 
 
-def test_checkpoint_detects_truncation():
+def test_checkpoint_detects_truncation(tmp_path):
     rng = RNG(5)
     model = NodeClassifier(
         rng, NodeClassifierConfig(in_dim=3, num_relations=1, num_classes=2, hidden_units=4)
     )
-    save_checkpoint("/tmp/ckpt_trunc", model.params, {"task": "node"})
-    blob = open("/tmp/ckpt_trunc/params.bin", "rb").read()
-    open("/tmp/ckpt_trunc/params.bin", "wb").write(blob[:-8])
+    save_checkpoint(tmp_path, model.params, {"task": "node"})
+    blob = (tmp_path / "params.bin").read_bytes()
+    (tmp_path / "params.bin").write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="declares"):
-        load_checkpoint("/tmp/ckpt_trunc")
+        load_checkpoint(tmp_path)
 
 
-def test_checkpoint_offsets_follow_declaration_order():
+def test_checkpoint_offsets_follow_declaration_order(tmp_path):
     params = {"b": np.zeros((2, 3)), "a": np.ones(4)}
-    save_checkpoint("/tmp/ckpt_order", params, {})
-    manifest = json.load(open("/tmp/ckpt_order/manifest.json"))
+    save_checkpoint(tmp_path, params, {})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
     entries = manifest["parameters"]
     assert [e["name"] for e in entries] == ["b", "a"]
     assert entries[0]["offset"] == 0

@@ -5,7 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from relgat.graph import GraphTask, LabelSet, Split, generate_planted
+from relgat.graph import (
+    GraphTask,
+    LabelSet,
+    NodeTask,
+    Split,
+    build_graph,
+    generate_planted,
+    with_self_relation,
+)
+from relgat.models import (
+    GraphClassifier,
+    GraphClassifierConfig,
+    NodeClassifier,
+    NodeClassifierConfig,
+)
 from relgat.search import (
     LogUniform,
     MultiplesOf,
@@ -20,6 +34,7 @@ from relgat.search import (
     transductive_space,
     trial_seeds,
 )
+from relgat.training import TrainConfig, train
 
 RNG = np.random.default_rng
 
@@ -67,22 +82,23 @@ def test_multiples_of_options():
         MultiplesOf(8, 4, 16)
 
 
-def test_space_round_trip():
+def test_space_round_trip(tmp_path):
     space = transductive_space()
-    save_space(space, "/tmp/space_test.json")
-    back = load_space("/tmp/space_test.json")
+    save_space(space, tmp_path / "space.json")
+    back = load_space(tmp_path / "space.json")
     assert list(back) == list(space)
     for name in space:
         assert back[name].to_dict() == space[name].to_dict()
 
 
-def test_legacy_prior_kind_names_load():
+def test_legacy_prior_kind_names_load(tmp_path):
     doc = {
         "hidden_units": {"kind": "multiples_of_four", "low": 4, "high": 20},
         "graph_units": {"kind": "multiples_of_eight", "low": 32, "high": 128},
     }
-    json.dump(doc, open("/tmp/space_legacy.json", "w"))
-    space = load_space("/tmp/space_legacy.json")
+    path = tmp_path / "space_legacy.json"
+    path.write_text(json.dumps(doc))
+    space = load_space(path)
     assert space["hidden_units"].step == 4
     assert space["graph_units"].step == 8
 
@@ -223,6 +239,96 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     assert sorted(json.dumps(r, sort_keys=True) for r in serial) == sorted(
         json.dumps(r, sort_keys=True) for r in parallel
     )
+
+
+def _self_relation_graph_task():
+    pairs = generate_planted(1, 16, 6, 4, feature_dim=3, noise_edges=4)
+    labels = LabelSet(
+        kind="graph",
+        num_classes=2,
+        num_tasks=1,
+        graph_classes=np.array([[y] for _, y in pairs], dtype=np.int64),
+    )
+    split = Split(train=tuple(range(8)), validation=tuple(range(8, 14)), test=(14, 15))
+    return GraphTask(tuple(with_self_relation(g) for g, _ in pairs), labels, split)
+
+
+def _self_relation_node_task():
+    rng = RNG(2)
+    n = 24
+    triples = {(int(r), int(t), int(s)) for r, t, s in rng.integers((2, n, n), size=(60, 3))}
+    graph = with_self_relation(build_graph(n, 2, sorted(triples), one_hot=True))
+    labels = LabelSet("node", 3, node_classes={i: int(c) for i, c in enumerate(rng.integers(3, size=n))})
+    return NodeTask(graph, labels, Split(tuple(range(12)), tuple(range(12, 20)), tuple(range(20, n))))
+
+
+def _direct_model(task, config, seed):
+    """The trial's model, built from its sampled configuration without the
+    sweep's own builder."""
+    rng = RNG(seed)
+    if isinstance(task, NodeTask):
+        g = task.graph
+        cfg = NodeClassifierConfig(
+            in_dim=g.feature_dim,
+            num_relations=g.num_relations,
+            num_classes=task.labels.num_classes,
+            hidden_units=config["hidden_units"],
+            one_hot=True,
+        )
+        return NodeClassifier(rng, cfg)
+    g = task.graphs[0]
+    cfg = GraphClassifierConfig(
+        feature_dim=g.feature_dim,
+        num_relations=g.num_relations,
+        num_tasks=1,
+        num_classes=task.labels.num_classes,
+        graph_units=config["graph_units"],
+    )
+    return GraphClassifier(rng, cfg)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("kind", ["graph", "node"])
+def test_sweep_trial_equals_direct_train_on_self_relation_task(tmp_path, kind, parallelism):
+    # edge dropout spares the self relation in a sweep trial as it does in train()
+    task = _self_relation_graph_task() if kind == "graph" else _self_relation_node_task()
+    units = "graph_units" if kind == "graph" else "hidden_units"
+    space = {
+        units: MultiplesOf(4, 4, 8),
+        "edge_dropout": Uniform(0.4, 0.7),
+        "learning_rate": LogUniform(1e-2, 1e-1),
+    }
+    master_seed = 21
+    records = run_sweep(
+        task,
+        space,
+        2,
+        master_seed,
+        tmp_path / "records.jsonl",
+        parallelism=parallelism,
+        overrides={"epochs": 3, "patience": 3},
+    )
+    assert [r["trial"] for r in records] == [0, 1]
+    for record in records:
+        sample_seed, model_seed, train_seed = trial_seeds(master_seed, record["trial"])
+        config = sample_config(space, RNG(sample_seed))
+        assert record["config"] == config and record["seed"] == train_seed
+        tcfg = TrainConfig(
+            learning_rate=config["learning_rate"],
+            epochs=3,
+            patience=3,
+            edge_dropout=config["edge_dropout"],
+            seed=train_seed,
+        )
+        result = train(_direct_model(task, config, model_seed), task, tcfg)
+        metric = "val_metric" if kind == "graph" else "val_accuracy"
+        assert record["status"] == "ok"
+        assert record["objective"] == result.best_metric
+        assert record["metrics"] == {
+            "best_epoch": result.best_epoch,
+            "epochs_run": result.epochs_run,
+            metric: result.best_metric,
+        }
 
 
 def test_best_trial_ignores_failures():
