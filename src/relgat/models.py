@@ -25,7 +25,6 @@ from .tensor import (
     Tape,
     Tensor,
     add,
-    concat_cols,
     gather_rows,
     log,
     matmul,
@@ -34,7 +33,7 @@ from .tensor import (
     reshape,
     row_softmax,
     rowsum,
-    segment_reduce,
+    segment_mean_max,
     sum_all,
     tanh,
 )
@@ -62,9 +61,7 @@ def bind_params(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 
 def graph_gather(node_features: Tensor, graph_segment, graph_count: int) -> Tensor:
     """Pools node rows into per-graph rows: mean and max, concatenated."""
-    mean_part = segment_reduce(node_features, graph_segment, graph_count, "mean")
-    max_part = segment_reduce(node_features, graph_segment, graph_count, "max")
-    return concat_cols([mean_part, max_part])
+    return segment_mean_max(node_features, graph_segment, graph_count)
 
 
 def masked_cross_entropy(probs: Tensor, node_ids, classes) -> Tensor:

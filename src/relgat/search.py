@@ -277,8 +277,8 @@ def build_model(task, hyper: dict, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class _Sweep:
-    """What every trial of one sweep shares. Pool workers receive it
-    pickled, task included, so a trial runs on the task it was given."""
+    """What every trial of one sweep shares, task included, so a trial runs
+    on the task it was given. Each pool worker receives it once."""
 
     task: NodeTask | GraphTask
     space: dict
@@ -289,10 +289,24 @@ class _Sweep:
     fold_limit: int | None
 
 
-def _run_trial(trial: tuple[_Sweep, int]) -> dict:
-    """Executes one (sweep, trial id); importable at module top level so
-    process pools can pickle it."""
-    sweep, trial_id = trial
+# set once in each pool worker, by the pool's initializer, so that a trial
+# is submitted to the pool as its id alone; the parent process never sets it
+_worker_sweep: _Sweep | None = None
+
+
+def _init_worker(sweep: _Sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _run_trial(trial_id: int) -> dict:
+    """Executes one trial of the sweep this pool worker was given;
+    importable at module top level so process pools can pickle it."""
+    return _trial(_worker_sweep, trial_id)
+
+
+def _trial(sweep: _Sweep, trial_id: int) -> dict:
+    """Trains one trial of a sweep and returns its record."""
     sample_seed, model_seed, train_seed = trial_seeds(sweep.master_seed, trial_id)
     config = sample_config(sweep.space, np.random.default_rng(sample_seed))
     record = {
@@ -431,11 +445,14 @@ def run_sweep(
     """Runs (or resumes) a random search and returns all records in trial
     order. Trials already present in record_path are not recomputed; a
     record whose seed, variant or configuration differs from what this call
-    derives for its trial id raises ValueError."""
+    derives for its trial id raises ValueError, and so does a fold_limit
+    below 1, before any record is written."""
     if num_trials < 1:
         raise ValueError("need at least one trial")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
+    if fold_limit is not None and fold_limit < 1:
+        raise ValueError(f"fold_limit must be positive, got {fold_limit}")
     path = Path(record_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     variant = {"logit_mode": logit_mode, "norm_kind": norm_kind}
@@ -443,13 +460,13 @@ def run_sweep(
     for record in done.values():
         _check_resumed(path, record, space, master_seed, variant)
     sweep = _Sweep(task, space, master_seed, variant, overrides, folds, fold_limit)
-    trials = [(sweep, i) for i in range(num_trials) if i not in done]
+    trials = [i for i in range(num_trials) if i not in done]
     if parallelism == 1:
-        for trial in trials:
-            _append_record(path, _run_trial(trial))
+        for trial_id in trials:
+            _append_record(path, _trial(sweep, trial_id))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_run_trial, trial) for trial in trials]
+        with ProcessPoolExecutor(parallelism, initializer=_init_worker, initargs=(sweep,)) as pool:
+            futures = [pool.submit(_run_trial, trial_id) for trial_id in trials]
             for fut in as_completed(futures):
                 _append_record(path, fut.result())
 

@@ -8,6 +8,8 @@ Every public op validates its inputs, checks the result for non-finite
 entries (raising OverflowError otherwise), and records a backward closure on
 the tape. ``Tape.backward`` walks the recorded ops once, in reverse order,
 and frees each op's output gradient as soon as that op's backward has run.
+A tape made with ``differentiable=False`` records nothing and serves
+forwards that are only scored; it keeps every finite check.
 
 Tensors point at their tape, never the other way round: the tape keeps leaf
 ids and shapes, and backward closures capture ids and arrays, not tensors.
@@ -43,6 +45,7 @@ __all__ = [
     "row_softmax",
     "rowsum",
     "scale_rows",
+    "segment_mean_max",
     "segment_reduce",
     "segment_softmax",
     "slice_rows",
@@ -111,9 +114,16 @@ class Tape:
     Tensor ids increase strictly in creation order; ``backward`` visits the
     recorded ops exactly once, in reverse recording order, and returns the
     gradient for every leaf (zeros for leaves the loss never touched).
+
+    With differentiable=False the tape serves forwards that are only
+    scored: leaves are read-only views of the given arrays, nothing is
+    recorded, so each op result is freed once nothing uses it, and
+    ``backward`` raises ValueError. Leaves and op results are still checked
+    for non-finite entries.
     """
 
-    def __init__(self):
+    def __init__(self, *, differentiable: bool = True):
+        self.differentiable = differentiable
         self._ops: list[_Node] = []
         self._leaves: list[tuple[int, tuple[int, ...]]] = []
         self._count = 0
@@ -128,25 +138,21 @@ class Tape:
         return self._count
 
     def leaf(self, data) -> Tensor:
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim > 2:
-            raise ValueError(f"tensors are at most 2-D, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise OverflowError("non-finite entries in leaf value")
-        arr.setflags(write=False)
-        t = Tensor(self, self._next_id(), arr)
-        self._leaves.append((t.id, arr.shape))
+        # a differentiable tape copies, so that writes to data before its
+        # backward runs cannot reach the arrays its closures hold
+        if self.differentiable:
+            arr = np.array(data, dtype=np.float64)
+        else:
+            arr = np.asarray(data, dtype=np.float64).view()
+        t = Tensor(self, self._next_id(), _frozen(arr, "leaf value"))
+        if self.differentiable:
+            self._leaves.append((t.id, arr.shape))
         return t
 
     def record(self, out: np.ndarray, backward: Callable, kink_gap: float = np.inf) -> Tensor:
-        out = np.asarray(out, dtype=np.float64)
-        if out.ndim > 2:
-            raise ValueError(f"tensors are at most 2-D, got shape {out.shape}")
-        if out.size and not np.all(np.isfinite(out)):
-            raise OverflowError("non-finite entries in op result")
-        out.setflags(write=False)
-        t = Tensor(self, self._next_id(), out)
-        self._ops.append(_Node(t.id, backward, float(kink_gap)))
+        t = Tensor(self, self._next_id(), _frozen(np.asarray(out, dtype=np.float64), "op result"))
+        if self.differentiable:
+            self._ops.append(_Node(t.id, backward, float(kink_gap)))
         return t
 
     def min_kink_gap(self) -> float:
@@ -156,6 +162,8 @@ class Tape:
         return min(node.kink_gap for node in self._ops)
 
     def backward(self, loss: Tensor) -> GradientMap:
+        if not self.differentiable:
+            raise ValueError("this tape was made with differentiable=False and recorded nothing")
         if loss.tape is not self:
             raise ValueError("loss was recorded on a different tape")
         if loss.ndim != 0:
@@ -174,6 +182,16 @@ class Tape:
                 g = np.zeros(shape)
             out[leaf_id] = np.asarray(g, dtype=np.float64)
         return GradientMap(out)
+
+
+def _frozen(arr: np.ndarray, what: str) -> np.ndarray:
+    # the one shape and finite check of every leaf and op result
+    if arr.ndim > 2:
+        raise ValueError(f"tensors are at most 2-D, got shape {arr.shape}")
+    if arr.size and not np.isfinite(arr).all():
+        raise OverflowError(f"non-finite entries in {what}")
+    arr.setflags(write=False)
+    return arr
 
 
 def _acc(grads: dict[int, np.ndarray], tensor_id: int, value: np.ndarray) -> None:
@@ -198,6 +216,15 @@ def _index_array(indices, bound: int, name: str) -> np.ndarray:
     return idx
 
 
+def _segment_ids(segments, num_segments: int, rows: int) -> np.ndarray:
+    if num_segments < 0:
+        raise ValueError("num_segments must be non-negative")
+    segs = _index_array(segments, max(num_segments, 1), "segment ids")
+    if segs.size != rows:
+        raise ValueError(f"segment ids cover {segs.size} rows, values have {rows}")
+    return segs
+
+
 def _sort_by_segment_and_value(data: np.ndarray, segments: np.ndarray, counts: np.ndarray):
     # Orders every column of a (rows, cols) matrix by (segment, value) in one
     # pass: rank the values of each column, then sort on segment * rows + rank.
@@ -218,15 +245,42 @@ def _sort_by_segment_and_value(data: np.ndarray, segments: np.ndarray, counts: n
     return np.take_along_axis(by_column, order, axis=1), starts
 
 
+def _sorted_sums(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # (segments, cols) sums of the sorted runs; empty segments sum to zero
+    out = np.zeros((counts.size, ordered.shape[0]), dtype=ordered.dtype)
+    out[counts > 0] = np.add.reduceat(ordered, starts, axis=1).T
+    return out
+
+
 def _ordered_segment_sum(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
     # Accumulates each segment in value-sorted order so the result does not
     # depend on how the rows happen to be listed.
     data = values[:, None] if values.ndim == 1 else values
     counts = np.bincount(segments, minlength=num_segments)
-    out = np.zeros((num_segments, data.shape[1]), dtype=values.dtype)
-    ordered, starts = _sort_by_segment_and_value(data, segments, counts)
-    out[counts > 0] = np.add.reduceat(ordered, starts, axis=1).T
+    out = _sorted_sums(*_sort_by_segment_and_value(data, segments, counts), counts)
     return out[:, 0] if values.ndim == 1 else out
+
+
+def _sorted_max(data, segments, counts, ordered, starts):
+    # Each segment's max is the last entry of its sorted run; empty segments
+    # get zero. Returns the (segments, cols) maxima, the smallest gap between
+    # a segment's top two values, and the (segment, col, row) coordinates of
+    # the first row holding each max, which takes the whole gradient.
+    rows, cols = data.shape
+    nonempty = counts > 0
+    ends = starts + counts[nonempty] - 1
+    top = ordered[:, ends]
+    out = np.zeros((counts.size, cols), dtype=data.dtype)
+    out[nonempty] = top.T
+    # distance between the top two values bounds how safe a
+    # finite-difference probe is around this max
+    multi = counts[nonempty] >= 2
+    gap = float(np.min(top[:, multi] - ordered[:, ends[multi] - 1])) if multi.any() else np.inf
+    hit_rows, hit_cols = np.nonzero(data == out[segments])
+    first = np.full((counts.size, cols), rows, dtype=np.int64)
+    np.minimum.at(first, (segments[hit_rows], hit_cols), hit_rows)
+    win_segs, win_cols = np.nonzero(first < rows)
+    return out, gap, (win_segs, win_cols, first[win_segs, win_cols])
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +513,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = a.data[idx]
 
     def backward(g, grads):
-        buf = np.zeros(shape)
-        np.add.at(buf, idx, g)
-        _acc(grads, a_id, buf)
+        # one bincount over (row, col) cells adds each gathered row into a
+        # zero buffer in input order, as np.add.at would, bit for bit
+        rows, cols = shape
+        cells = (idx[:, None] * cols + np.arange(cols)).ravel()
+        buf = np.bincount(cells, weights=np.asarray(g).ravel(), minlength=rows * cols)
+        _acc(grads, a_id, buf.reshape(shape))
 
     return a.tape.record(out, backward)
 
@@ -606,12 +663,8 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
         raise ValueError(f"unknown reduce mode {mode!r}")
     if values.ndim not in (1, 2):
         raise ValueError(f"segment_reduce expects flat or matrix input, got {values.shape}")
-    if num_segments < 0:
-        raise ValueError("num_segments must be non-negative")
-    rows = values.shape[0] if values.ndim else 0
-    segs = _index_array(segments, max(num_segments, 1), "segment ids")
-    if segs.size != rows:
-        raise ValueError(f"segment ids cover {segs.size} rows, values have {rows}")
+    rows = values.shape[0]
+    segs = _segment_ids(segments, num_segments, rows)
     flat_in = values.ndim == 1
     data = values.data[:, None] if flat_in else values.data
     cols = data.shape[1]
@@ -636,21 +689,9 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
         return values.tape.record(out_final, backward)
 
     # max: gradient routes to the first maximal row entry of each segment
-    nonempty = counts > 0
-    ordered, starts = _sort_by_segment_and_value(data, segs, counts)
-    ends = starts + counts[nonempty] - 1
-    top = ordered[:, ends]
-    out = np.zeros((num_segments, cols), dtype=data.dtype)
-    out[nonempty] = top.T
-    # distance between the top two values bounds how safe a
-    # finite-difference probe is around this max
-    multi = counts[nonempty] >= 2
-    gap = float(np.min(top[:, multi] - ordered[:, ends[multi] - 1])) if multi.any() else np.inf
-    hit_rows, hit_cols = np.nonzero(data == out[segs])
-    first = np.full((num_segments, cols), rows, dtype=np.int64)
-    np.minimum.at(first, (segs[hit_rows], hit_cols), hit_rows)
-    win_segs, win_cols = np.nonzero(first < rows)
-    win_rows = first[win_segs, win_cols]
+    out, gap, (win_segs, win_cols, win_rows) = _sorted_max(
+        data, segs, counts, *_sort_by_segment_and_value(data, segs, counts)
+    )
 
     def backward(g, grads):
         g2 = np.asarray(g)
@@ -662,6 +703,36 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
 
     out_final = out[:, 0] if flat_in else out
     return values.tape.record(out_final, backward, kink_gap=gap)
+
+
+def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
+    """Per-segment mean and max of a matrix's rows, side by side:
+    (rows, cols) -> (num_segments, 2*cols). Empty segments yield zero rows.
+
+    Both halves come from one value sort, and equal those of
+    ``concat_cols([segment_reduce(.., "mean"), segment_reduce(.., "max")])``
+    bit for bit: values, gradient and kink gap.
+    """
+    if values.ndim != 2:
+        raise ValueError(f"segment_mean_max expects a matrix, got shape {values.shape}")
+    rows, cols = values.shape
+    segs = _segment_ids(segments, num_segments, rows)
+    data, values_id = values.data, values.id
+    counts = np.bincount(segs, minlength=num_segments)
+    ordered, starts = _sort_by_segment_and_value(data, segs, counts)
+    divisor = np.maximum(counts, 1)
+    mean = _sorted_sums(ordered, starts, counts) / divisor[:, None]
+    top, gap, (win_segs, win_cols, win_rows) = _sorted_max(data, segs, counts, ordered, starts)
+
+    def backward(g, grads):
+        # the max half's gradient is added before the mean half's, as the
+        # backward walk over two separate ops adds them
+        buf = np.zeros((rows, cols))
+        buf[win_rows, win_cols] = g[win_segs, cols + win_cols]
+        _acc(grads, values_id, buf)
+        _acc(grads, values_id, g[segs, :cols] / divisor[segs, None])
+
+    return values.tape.record(np.concatenate([mean, top], axis=1), backward, kink_gap=gap)
 
 
 def segment_softmax(logits: Tensor, segments) -> Tensor:

@@ -354,7 +354,8 @@ def _step(fit, params, state: AdamState, part, rng, config: TrainConfig) -> floa
 
 
 def _clean_forward(fit, params, part, constant: bool) -> Tensor:
-    tape = Tape()
+    """A forward without dropout that is only scored, never differentiated."""
+    tape = Tape(differentiable=False)
     return fit.forward(tape, bind_params(tape, params), part, constant=constant)
 
 

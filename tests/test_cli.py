@@ -334,6 +334,17 @@ def test_sweep_cli(tmp_path, capsys):
     assert len(records.read_text().splitlines()) == 2
 
 
+def test_sweep_rejects_a_fold_limit_below_one(tmp_path, capsys):
+    data = _gen(tmp_path)
+    records = tmp_path / "records.jsonl"
+    capsys.readouterr()
+    args = ["sweep", "--data", str(data), "--out", str(records), "--trials", "1"]
+    assert main(args + ["--epochs", "1", "--folds", "3", "--fold-limit", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "fold_limit" in err and "Traceback" not in err
+    assert not records.exists()
+
+
 def test_sweep_resume_refuses_a_log_from_another_sweep(tmp_path, capsys):
     data = _gen(tmp_path)
     space = tmp_path / "space.json"

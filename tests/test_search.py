@@ -1,6 +1,7 @@
 """Priors, search-space serialization, and the resumable sweep runner."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from relgat.graph import (
     generate_planted,
     with_self_relation,
 )
+from relgat import search
 from relgat.models import (
     GraphClassifier,
     GraphClassifierConfig,
@@ -220,6 +222,34 @@ def test_run_sweep_fold_limit(tmp_path):
     assert records[0]["objective"] == pytest.approx(
         float(np.mean(metrics["fold_metrics"]))
     )
+
+
+@pytest.mark.parametrize("fold_limit", [0, -1])
+def test_run_sweep_rejects_a_fold_limit_below_one(tmp_path, fold_limit):
+    # no fold would run, leaving a NaN objective marked "ok"
+    path = tmp_path / "folds.jsonl"
+    with pytest.raises(ValueError, match="fold_limit"):
+        run_sweep(_tiny_task(10), _TINY_SPACE, 1, 3, path, folds=4, fold_limit=fold_limit)
+    assert not path.exists()
+
+
+def test_parallel_sweep_submits_trial_ids_only(tmp_path, monkeypatch):
+    submitted = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    task = _tiny_task()
+    budget = {"epochs": 2, "patience": 2}
+    run_sweep(task, _TINY_SPACE, 3, 9, tmp_path / "p.jsonl", parallelism=2, overrides=budget)
+    # the task reaches each worker once, through the pool's initializer
+    assert submitted == [(0,), (1,), (2,)]
+    run_sweep(task, _TINY_SPACE, 3, 9, tmp_path / "s.jsonl", overrides=budget)
+    lines = {name: sorted((tmp_path / name).read_bytes().splitlines()) for name in ("p.jsonl", "s.jsonl")}
+    assert lines["p.jsonl"] == lines["s.jsonl"]
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):

@@ -2,6 +2,7 @@
 structural guarantees (id ordering, single-visit backward, finite checks)."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from relgat.tensor import (
     row_softmax,
     rowsum,
     scale_rows,
+    segment_mean_max,
     segment_reduce,
     segment_softmax,
     slice_rows,
@@ -122,6 +124,30 @@ def test_gather_rows_accumulates_repeats():
     assert np.array_equal(out.data, [[3.0], [1.0], [3.0]])
     grads = tape.backward(sum_all(out))
     assert np.array_equal(grads[m], [[1.0], [0.0], [2.0]])
+
+
+# (output rows, columns, gathered row indices)
+_GATHER_CASES = {
+    "repeated-unordered": (5, 3, [4, 0, 4, 2, 0, 4, 1]),
+    "empty": (4, 2, []),
+    "one-column": (6, 1, [5, 5, 0, 3, 5]),
+    "rows-beyond-indices": (9, 2, [1, 7]),
+}
+
+
+@pytest.mark.parametrize("case", list(_GATHER_CASES))
+def test_gather_rows_gradient_equals_add_at_bitwise(case):
+    rows, cols, idx = _GATHER_CASES[case]
+    rng = np.random.default_rng(3)
+    # magnitudes far apart, so any other order of the repeated adds rounds differently
+    weights = rng.normal(size=(len(idx), cols)) * 10.0 ** rng.integers(-8, 9, size=(len(idx), cols))
+    tape = Tape()
+    m = tape.leaf(rng.normal(size=(rows, cols)))
+    grads = tape.backward(sum_all(mul(gather_rows(m, idx), weights)))
+    expected = np.zeros((rows, cols))
+    np.add.at(expected, np.array(idx, dtype=np.int64), weights)
+    assert grads[m].shape == (rows, cols)
+    assert grads[m].tobytes() == expected.tobytes()
 
 
 def test_slice_reshape_concat_roundtrips():
@@ -339,6 +365,60 @@ def test_segment_max_matrix_winners_and_gap_match_reference(data):
     assert tape.min_kink_gap() == gap
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_segment_mean_max_equals_mean_and_max_ops_bitwise(data):
+    values, segs, _ = _segment_case(data)
+    weights = np.random.default_rng(len(segs)).normal(size=(7, 2 * values.shape[1]))
+
+    def run(pool):
+        tape = Tape()
+        v = tape.leaf(values)
+        out = pool(v)
+        grads = tape.backward(sum_all(mul(out, weights)))
+        return out.data, grads[v], tape.min_kink_gap()
+
+    fused = run(lambda v: segment_mean_max(v, segs, 7))
+    separate = run(
+        lambda v: concat_cols([segment_reduce(v, segs, 7, "mean"), segment_reduce(v, segs, 7, "max")])
+    )
+    assert fused[0].tobytes() == separate[0].tobytes()
+    assert fused[1].tobytes() == separate[1].tobytes()
+    assert fused[2] == separate[2]
+    # segments 0 and 6 are empty
+    assert not fused[0][[0, 6]].any()
+
+
+def test_segment_mean_max_routes_max_gradient_to_first_winner():
+    tape = Tape()
+    v = tape.leaf([[1.0, 4.0], [5.0, 4.0], [5.0, 0.0], [2.0, 7.0]])
+    out = segment_mean_max(v, [0, 0, 0, 2], 3)
+    assert np.array_equal(
+        out.data, [[11 / 3, 8 / 3, 5.0, 4.0], [0.0, 0.0, 0.0, 0.0], [2.0, 7.0, 2.0, 7.0]]
+    )
+    assert tape.min_kink_gap() == 0.0  # the tied maxima
+    grads = tape.backward(sum_all(mul(out, np.array([0.0, 0.0, 1.0, 1.0]) * np.ones((3, 1)))))
+    assert np.array_equal(grads[v], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+def test_segment_mean_max_gradient_matches_finite_differences():
+    segs = [0, 2, 0, 2, 2, 3, 0]  # segment 1 stays empty
+
+    def f(tape, leaves):
+        return sum_squares(segment_mean_max(leaves["x"], segs, 4))
+
+    err = grad_check(f, {"x": np.random.default_rng(5).normal(size=(7, 3))})
+    assert err < 1e-6
+
+
+def test_segment_mean_max_rejects_flat_input_and_misaligned_segments():
+    tape = Tape()
+    with pytest.raises(ValueError):
+        segment_mean_max(tape.leaf([1.0, 2.0]), [0, 1], 2)
+    with pytest.raises(ValueError):
+        segment_mean_max(tape.leaf(np.ones((3, 2))), [0, 1], 2)
+
+
 def test_row_softmax_rows_sum_to_one():
     tape = Tape()
     out = row_softmax(tape.leaf([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
@@ -379,6 +459,56 @@ def test_op_overflow_raises():
     big = tape.leaf([1e308])
     with pytest.raises(OverflowError):
         mul(big, 1e10)
+
+
+def test_scoring_tape_leaves_are_read_only_views_of_writable_arrays():
+    params = np.arange(6.0).reshape(2, 3)
+    tape = Tape(differentiable=False)
+    leaf = tape.leaf(params)
+    assert np.shares_memory(leaf.data, params)
+    assert not leaf.data.flags.writeable
+    assert params.flags.writeable
+    params[0, 0] = -1.0  # the caller's array stays its own to update
+    assert leaf.data[0, 0] == -1.0
+    # a recording tape copies instead
+    assert not np.shares_memory(Tape().leaf(params).data, params)
+
+
+def test_scoring_tape_keeps_no_ops_and_cannot_differentiate():
+    tape = Tape(differentiable=False)
+    x = tape.leaf([[0.5, -1e-9], [2.0, 3.0]])
+    y = tanh(relu(x))
+    loss = sum_all(y)
+    assert float(loss.data) == pytest.approx(np.tanh(0.5) + np.tanh(2.0) + np.tanh(3.0))
+    # nothing holds an op result once its tensor is gone, and no kink is kept
+    result = weakref.ref(y.data)
+    del y
+    assert result() is None
+    assert tape.min_kink_gap() == np.inf
+    with pytest.raises(ValueError, match="differentiable=False"):
+        tape.backward(loss)
+    # the same ops on a recording tape keep tanh's result for its backward
+    recording = Tape()
+    y = tanh(relu(recording.leaf([[0.5, -1e-9], [2.0, 3.0]])))
+    kept = weakref.ref(y.data)
+    del y
+    assert kept() is not None
+    assert recording.min_kink_gap() == 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_scoring_tape_checks_every_leaf_and_op_result():
+    tape = Tape(differentiable=False)
+    with pytest.raises(OverflowError, match="leaf value"):
+        tape.leaf([[1.0, np.nan]])
+    x = tape.leaf([[-1e300, 1.0], [1e300, 2.0]])
+    # the product overflows; max pooling would hide the -inf and tanh the
+    # +inf, so the check must fire at the op that made them
+    with pytest.raises(OverflowError, match="op result"):
+        mul(x, 1e300)
+    huge = tape.leaf([[1e300], [-1e300]])
+    with pytest.raises(OverflowError, match="op result"):
+        matmul(huge, tape.leaf([[1e300]]))
 
 
 def test_backward_visits_each_op_once():

@@ -329,6 +329,20 @@ def test_tapes_are_freed_without_the_cycle_collector(monkeypatch):
         gc.enable()
 
 
+@pytest.mark.parametrize("constant", [False, True])
+@pytest.mark.parametrize("kind", ["node", "graph"])
+def test_scoring_forward_equals_a_recorded_forward_bitwise(kind, constant):
+    model, task = _node_task() if kind == "node" else _graph_task()
+    fit = training._fit(model, task)
+    part = fit.part("validation")
+    tape = Tape()
+    recorded = fit.forward(tape, bind_params(tape, model.params), part, constant=constant)
+    scored = training._clean_forward(fit, model.params, part, constant)
+    assert not scored.tape.differentiable
+    assert scored.data.tobytes() == recorded.data.tobytes()
+    assert all(p.flags.writeable for p in model.params.values())
+
+
 def _count_forwards(model) -> list:
     calls = []
     forward = model.forward
