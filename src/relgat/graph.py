@@ -528,10 +528,14 @@ def batch_graphs(graphs: Sequence[RelGraph]) -> BatchedGraph:
         tgt += shift
         src += shift
         key = tgt * max(total, 1) + src
-        order = np.argsort(key, kind="stable")
-        if np.any(np.diff(key[order]) == 0):
-            raise GraphFormatError(f"duplicate edge in relation {r} of a batch member")
-        edges.append((_frozen(tgt[order]), _frozen(src[order])))
+        # canonical members give strictly increasing keys: already sorted
+        # and free of duplicates
+        if np.any(np.diff(key) <= 0):
+            order = np.argsort(key, kind="stable")
+            if np.any(np.diff(key[order]) == 0):
+                raise GraphFormatError(f"duplicate edge in relation {r} of a batch member")
+            tgt, src = tgt[order], src[order]
+        edges.append((_frozen(tgt), _frozen(src)))
     features = (
         np.concatenate([g.features for g in graphs], axis=0)
         if total

@@ -227,22 +227,30 @@ def _segment_ids(segments, num_segments: int, rows: int) -> np.ndarray:
 
 def _sort_by_segment_and_value(data: np.ndarray, segments: np.ndarray, counts: np.ndarray):
     # Orders every column of a (rows, cols) matrix by (segment, value) in one
-    # pass: rank the values of each column, then sort on segment * rows + rank.
-    # Rows tied on value hold equal values, so each segment's sorted run, and
-    # any sum over it, depends only on the multiset of its values.
+    # pass: rank the values of each column, then sort the distinct integer
+    # keys segment * rows + rank. Rows tied on value hold equal values, so
+    # each segment's sorted run, and any sum over it, depends only on the
+    # multiset of its values.
     # Returns the sorted values as (cols, rows) and each non-empty segment's
     # run start.
-    rows = data.shape[0]
-    by_column = np.ascontiguousarray(data.T)
-    by_value = np.argsort(by_column, axis=1)
-    rank = np.empty_like(by_value)
-    np.put_along_axis(rank, by_value, np.arange(rows), axis=1)
-    del by_value
-    rank += segments * rows
-    order = np.argsort(rank, axis=1)
-    del rank
+    rows, cols = data.shape
+    by_value = np.argsort(data.T, axis=1)
+    # listing the keys in value order needs no rank scatter
+    key = segments[by_value]
+    key *= rows
+    key += np.arange(rows)
+    key.sort(axis=1)
+    # every column's position p lies in the same segment; removing that
+    # segment's base leaves the rank, made a flat index into by_value
+    key -= np.repeat(np.arange(counts.size) * rows, counts)
+    key += np.arange(cols)[:, None] * rows
+    source = by_value.ravel()[key]
+    del by_value, key
+    # flat index of (source row, column) in data
+    source *= cols
+    source += np.arange(cols)[:, None]
     starts = (np.cumsum(counts) - counts)[counts > 0]
-    return np.take_along_axis(by_column, order, axis=1), starts
+    return np.take(data, source), starts
 
 
 def _sorted_sums(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -261,17 +269,26 @@ def _ordered_segment_sum(values: np.ndarray, segments: np.ndarray, num_segments:
     return out[:, 0] if values.ndim == 1 else out
 
 
-def _sorted_max(data, segments, counts, ordered, starts):
+def _sorted_max(data, segments, counts, ordered, starts, differentiable: bool):
     # Each segment's max is the last entry of its sorted run; empty segments
-    # get zero. Returns the (segments, cols) maxima, the smallest gap between
-    # a segment's top two values, and the (segment, col, row) coordinates of
-    # the first row holding each max, which takes the whole gradient.
+    # get zero. Returns the (segments, cols) maxima and, for a differentiable
+    # tape only, the smallest gap between a segment's top two values and the
+    # (segment, col, row) coordinates of the first row holding each max,
+    # which takes the whole gradient.
     rows, cols = data.shape
     nonempty = counts > 0
     ends = starts + counts[nonempty] - 1
     top = ordered[:, ends]
+    zero = top == 0
+    if zero.any():
+        # -0.0 and +0.0 tie in the value sort, so which one ends a run
+        # depends on row order; a zero max is +0.0 whenever its run holds one
+        plus = np.logical_or.reduceat((ordered == 0) & ~np.signbit(ordered), starts, axis=1)
+        top[zero & plus] = 0.0
     out = np.zeros((counts.size, cols), dtype=data.dtype)
     out[nonempty] = top.T
+    if not differentiable:
+        return out, np.inf, None
     # distance between the top two values bounds how safe a
     # finite-difference probe is around this max
     multi = counts[nonempty] >= 2
@@ -321,10 +338,12 @@ def block_matmul(
     start:stop of it for window=(start, stop); or w is one (f, m) kernel
     shared by every block (shared="w").
 
-    Every block is a contiguous slice, so it goes through the same BLAS call
-    a separate ``matmul`` makes, and a shared operand's gradient adds the
-    block terms in reverse block order. Values and gradients therefore equal
-    those of a loop of ``matmul`` ops recorded in block order, bit for bit.
+    All blocks run as one ``np.matmul`` over (blocks, rows, cols) views, a
+    shared operand being a broadcast view, and it gives every block the same
+    BLAS call, with the same strides, that a separate ``matmul`` makes. A
+    shared operand's gradient adds the block terms one at a time in reverse
+    block order. Values and gradients therefore equal those of a loop of
+    ``matmul`` ops recorded in block order, bit for bit.
     """
     tape = _check_tape(x, w)
     if shared not in (None, "x", "w"):
@@ -346,35 +365,25 @@ def block_matmul(
             f"block_matmul shape mismatch: {x.shape} @ {w.shape} in {blocks} blocks,"
             f" kernel rows {window}"
         )
-    x_id, x_data, w_id, w_data = x.id, x.data, w.id, w.data
-
-    def x_block(a, b):
-        return a if shared == "x" else a[b * n:(b + 1) * n]
-
-    def w_block(a, b):
-        return a if shared == "w" else a[b * p + start:b * p + stop]
-
-    out = np.zeros((blocks * n, m))
-    for b in range(blocks):
-        np.matmul(x_block(x_data, b), w_block(w_data, b), out=out[b * n:(b + 1) * n])
+    x_id, w_id = x.id, w.id
+    x3 = x.data[None] if shared == "x" else x.data.reshape(blocks, n, f)
+    w3 = w.data[None] if shared == "w" else w.data.reshape(blocks, p, m)[:, start:stop]
+    out = np.matmul(x3, w3).reshape(blocks * n, m)
 
     def backward(g, grads):
-        gx = None if shared == "x" else np.zeros(x_data.shape)
-        gw = None if shared == "w" else np.zeros(w_data.shape)
-        for b in reversed(range(blocks)):
-            g_b, x_b, w_b = g[b * n:(b + 1) * n], x_block(x_data, b), w_block(w_data, b)
-            if gx is None:
-                _acc(grads, x_id, g_b @ w_b.T)
-            else:
-                np.matmul(g_b, w_b.T, out=x_block(gx, b))
-            if gw is None:
-                _acc(grads, w_id, x_b.T @ g_b)
-            else:
-                np.matmul(x_b.T, g_b, out=w_block(gw, b))
-        if gx is not None:
-            _acc(grads, x_id, gx)
-        if gw is not None:
-            _acc(grads, w_id, gw)
+        g3 = g.reshape(blocks, n, m)
+        if shared == "x":
+            for b in reversed(range(blocks)):
+                _acc(grads, x_id, g3[b] @ w3[b].T)
+        else:
+            _acc(grads, x_id, np.matmul(g3, w3.transpose(0, 2, 1)).reshape(blocks * n, f))
+        if shared == "w":
+            for b in reversed(range(blocks)):
+                _acc(grads, w_id, x3[b].T @ g3[b])
+        else:
+            gw = np.zeros((blocks, p, m))
+            np.matmul(x3.transpose(0, 2, 1), g3, out=gw[:, start:stop])
+            _acc(grads, w_id, gw.reshape(blocks * p, m))
 
     return tape.record(out, backward)
 
@@ -471,8 +480,11 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
         raise ValueError(f"slope must lie in [0, 1), got {slope}")
     a_id, x = a.id, a.data
     out = np.where(x > 0, x, slope * x)
-    gap = float(np.min(np.abs(x))) if x.size else np.inf
-    factor = np.where(x > 0, 1.0, slope)
+    # a scoring tape keeps no kink gap and runs no backward
+    gap, factor = np.inf, None
+    if a.tape.differentiable:
+        gap = float(np.min(np.abs(x))) if x.size else np.inf
+        factor = np.where(x > 0, 1.0, slope)
 
     def backward(g, grads):
         _acc(grads, a_id, g * factor)
@@ -689,14 +701,14 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
         return values.tape.record(out_final, backward)
 
     # max: gradient routes to the first maximal row entry of each segment
-    out, gap, (win_segs, win_cols, win_rows) = _sorted_max(
-        data, segs, counts, *_sort_by_segment_and_value(data, segs, counts)
-    )
+    ordered, starts = _sort_by_segment_and_value(data, segs, counts)
+    out, gap, winners = _sorted_max(data, segs, counts, ordered, starts, values.tape.differentiable)
 
     def backward(g, grads):
         g2 = np.asarray(g)
         if flat_in:
             g2 = g2[:, None]
+        win_segs, win_cols, win_rows = winners
         buf = np.zeros((rows, cols))
         buf[win_rows, win_cols] = g2[win_segs, win_cols]
         _acc(grads, values_id, buf[:, 0] if flat_in else buf)
@@ -722,11 +734,12 @@ def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
     ordered, starts = _sort_by_segment_and_value(data, segs, counts)
     divisor = np.maximum(counts, 1)
     mean = _sorted_sums(ordered, starts, counts) / divisor[:, None]
-    top, gap, (win_segs, win_cols, win_rows) = _sorted_max(data, segs, counts, ordered, starts)
+    top, gap, winners = _sorted_max(data, segs, counts, ordered, starts, values.tape.differentiable)
 
     def backward(g, grads):
         # the max half's gradient is added before the mean half's, as the
         # backward walk over two separate ops adds them
+        win_segs, win_cols, win_rows = winners
         buf = np.zeros((rows, cols))
         buf[win_rows, win_cols] = g[win_segs, cols + win_cols]
         _acc(grads, values_id, buf)

@@ -2,6 +2,7 @@
 the synthetic benchmark generator."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,6 +237,25 @@ def test_batch_graphs_checks_directly_built_members():
     merged = batch_graphs([good, _direct_member([2, 0], [0, 1])]).graph
     t0, s0 = merged.edges[0]
     assert list(t0) == [1, 3, 5] and list(s0) == [0, 4, 3]
+
+
+def test_batch_graphs_equals_a_canonical_merge_bitwise():
+    graphs = [with_self_relation(g) for g, _ in generate_planted(3, 5, 6, 4, 2, noise_edges=7)]
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    triples = [
+        [r, t + int(o), s + int(o)] for g, o in zip(graphs, offsets) for r, t, s in g.edge_triples()
+    ]
+    want = build_graph(int(offsets[-1]), graphs[0].num_relations, triples, _features(30, 2))
+    # canonical members skip the sort; members listing their edges in
+    # reverse go through it, and both must give the canonical merge
+    listed_backwards = [
+        replace(g, edges=tuple((t[::-1].copy(), s[::-1].copy()) for t, s in g.edges)) for g in graphs
+    ]
+    for members in (graphs, listed_backwards):
+        merged = batch_graphs(members).graph
+        for (t, s), (wt, ws) in zip(merged.edges, want.edges):
+            assert t.dtype == wt.dtype and t.tobytes() == wt.tobytes()
+            assert s.dtype == ws.dtype and s.tobytes() == ws.tobytes()
 
 
 @pytest.mark.parametrize(

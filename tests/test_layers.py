@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgat.graph import build_graph
 from relgat.layers import (
@@ -308,6 +310,31 @@ def test_layer_forward_permutation_equivariant_bitwise(logit_mode, heads, head_a
     out2 = layer.forward(_leaves(tape2, layer), pg.edges, n, tape2.leaf(pg.features))
     # exact: summation order inside every segment is value-sorted
     assert np.array_equal(out2.data[perm], out1.data)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_edge_listing_order_changes_no_edge_array_or_layer_output(data):
+    rng = RNG(data.draw(st.integers(0, 2**16)))
+    n, r, f = 8, 3, 4
+    triples = sorted(
+        {(int(rng.integers(r)), int(rng.integers(n)), int(rng.integers(n))) for _ in range(20)}
+    )
+    shuffled = data.draw(st.permutations(triples))
+    feats = rng.normal(size=(n, f))
+    graphs = [build_graph(n, r, [list(t) for t in listing], feats) for listing in (triples, shuffled)]
+    for (ta, sa), (tb, sb) in zip(graphs[0].edges, graphs[1].edges):
+        assert ta.tobytes() == tb.tobytes() and sa.tobytes() == sb.tobytes()
+    variant = data.draw(st.sampled_from(_VARIANTS))
+    norm_kind = data.draw(st.sampled_from(["wirgat", "argat"]))
+    layer = _variant_layer(RNG(1), f, r, *variant, norm_kind=norm_kind)
+    for constant in (False, True):
+        outs = []
+        for g in graphs:
+            tape = Tape()
+            h = tape.leaf(g.features)
+            outs.append(layer.forward(_leaves(tape, layer), g.edges, n, h, constant=constant).data)
+        assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def _per_slot_forward(layer, leaves, edges, num_nodes, h, constant=False):

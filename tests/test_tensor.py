@@ -38,6 +38,7 @@ from relgat.tensor import (
     sum_squares,
     tanh,
 )
+from relgat.tensor import _sort_by_segment_and_value
 
 
 def test_leaf_ids_strictly_increase():
@@ -419,6 +420,94 @@ def test_segment_mean_max_rejects_flat_input_and_misaligned_segments():
         segment_mean_max(tape.leaf(np.ones((3, 2))), [0, 1], 2)
 
 
+def _two_argsort_sort(data, segments, counts):
+    # the segment sort before the integer key sort: scatter each column's
+    # value ranks, then argsort segment * rows + rank
+    rows = data.shape[0]
+    by_column = np.ascontiguousarray(data.T)
+    by_value = np.argsort(by_column, axis=1)
+    rank = np.empty_like(by_value)
+    np.put_along_axis(rank, by_value, np.arange(rows), axis=1)
+    rank += segments * rows
+    order = np.argsort(rank, axis=1)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    return np.take_along_axis(by_column, order, axis=1), starts
+
+
+def _assert_sort_matches_reference(data, segments, num_segments):
+    counts = np.bincount(segments, minlength=num_segments)
+    got, got_starts = _sort_by_segment_and_value(data, segments, counts)
+    want, want_starts = _two_argsort_sort(data, segments, counts)
+    assert got.shape == want.shape == data.T.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_starts, want_starts)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_segment_sort_equals_two_argsort_reference_bytewise(data):
+    rows = data.draw(st.integers(0, 50))
+    cols = data.draw(st.integers(1, 4))
+    num_segments = data.draw(st.integers(1, 9))
+    # signed zeros tie in the value argsort; other values repeat often
+    pool = [-0.0, 0.0] + data.draw(st.lists(st.floats(-1e3, 1e3), max_size=4))
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    segments = data.draw(
+        st.lists(st.integers(0, num_segments - 1), min_size=rows, max_size=rows)
+    )
+    _assert_sort_matches_reference(
+        np.array(values, dtype=np.float64).reshape(rows, cols),
+        np.array(segments, dtype=np.int64),
+        num_segments,
+    )
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_segment_sort_equals_two_argsort_reference_above_65536_segments(seed, cols):
+    rng = np.random.default_rng(seed)
+    rows, num_segments = 90_000, 70_000
+    values = rng.normal(size=(rows, cols))
+    values[rng.random((rows, cols)) < 0.3] = -0.0
+    values[rng.random((rows, cols)) < 0.2] = 0.0
+    segments = rng.integers(0, num_segments, size=rows)
+    _assert_sort_matches_reference(values, segments, num_segments)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_segment_max_sign_of_zero_ignores_row_order(data):
+    rows = data.draw(st.integers(1, 30))
+    cols = data.draw(st.integers(1, 3))
+    pool = [-0.0, 0.0, -1.5, -2.0, 3.0]
+    values = np.array(
+        data.draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    segs = np.array(data.draw(st.lists(st.integers(0, 4), min_size=rows, max_size=rows)))
+    perm = np.array(data.draw(st.permutations(range(rows))))
+
+    def pooled(differentiable, v, s):
+        tape = Tape(differentiable=differentiable)
+        leaf = tape.leaf(v)
+        return segment_reduce(leaf, s, 5, "max").data, segment_mean_max(leaf, s, 5).data
+
+    expected = None
+    for differentiable in (True, False):
+        for v, s in ((values, segs), (values[perm], segs[perm])):
+            got = pooled(differentiable, v, s)
+            if expected is None:
+                expected = got
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+    top = expected[0]
+    for seg in range(5):
+        for col in range(cols):
+            run = values[segs == seg, col]
+            if run.size and top[seg, col] == 0:
+                holds_plus_zero = np.any((run == 0) & ~np.signbit(run))
+                assert np.signbit(top[seg, col]) == (not holds_plus_zero)
+    assert expected[1][:, cols:].tobytes() == top.tobytes()
+
+
 def test_row_softmax_rows_sum_to_one():
     tape = Tape()
     out = row_softmax(tape.leaf([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
@@ -635,6 +724,44 @@ def test_block_matmul_equals_a_loop_of_matmuls_bitwise(form, f, m):
 
     for got, want in zip(run(loop=False), run(loop=True)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("form", list(_BLOCK_FORMS))
+@pytest.mark.parametrize("n,m", [(0, 2), (1, 1), (1, 3), (4, 1)])
+def test_block_matmul_edge_shapes_equal_a_loop_of_matmuls_bitwise(form, n, m):
+    """Zero-row and one-row blocks and one output column, with both operands'
+    gradients already holding another op's term when the products' backward
+    runs, as a shared input's does when it also feeds a later op."""
+    _, _, blocks, shared, _ = _BLOCK_FORMS[form]
+    f = 3
+    p, window = (2 * f, (f, 2 * f)) if form == "blocked" else (f, None)
+    start = window[0] if window else 0
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=(n if shared == "x" else blocks * n, f))
+    w0 = rng.normal(size=(f, m) if shared == "w" else (blocks * p, m))
+    readout = rng.normal(size=(blocks * n, m))
+
+    def run(loop):
+        tape = Tape()
+        x, w = tape.leaf(x0), tape.leaf(w0)
+        if loop:
+            block = concat_rows(
+                [
+                    matmul(
+                        x if shared == "x" else slice_rows(x, b * n, (b + 1) * n),
+                        w if shared == "w" else slice_rows(w, b * p + start, b * p + start + f),
+                    )
+                    for b in range(blocks)
+                ]
+            )
+        else:
+            block = block_matmul(x, w, blocks, shared=shared, window=window)
+        loss = add(sum_all(mul(block, readout)), add(sum_squares(x), sum_squares(w)))
+        grads = tape.backward(loss)
+        return block.data, grads[x], grads[w]
+
+    for got, want in zip(run(loop=False), run(loop=True)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_block_matmul_rejects_mismatched_shapes():
