@@ -361,17 +361,21 @@ def _graph_body(doc: dict) -> RelGraph:
     )
 
 
-def parse_graph(document) -> tuple[RelGraph, LabelSet | None, Split | None]:
-    """Reads a single-graph JSON document (str, bytes or parsed dict)."""
+def _document(document) -> dict:
+    """The JSON object of a document given as str, bytes or parsed dict."""
     if isinstance(document, (str, bytes)):
         try:
-            doc = json.loads(document)
+            document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"malformed document: {exc}") from None
-    else:
-        doc = document
-    if not isinstance(doc, dict):
+    if not isinstance(document, dict):
         raise GraphFormatError("malformed document: expected an object")
+    return document
+
+
+def parse_graph(document) -> tuple[RelGraph, LabelSet | None, Split | None]:
+    """Reads a single-graph JSON document (str, bytes or parsed dict)."""
+    doc = _document(document)
     graph = _graph_body(doc)
     labels = _parse_labels(doc.get("labels"), graph.num_nodes, 1)
     split = _parse_split(doc.get("splits"), labels)
@@ -435,15 +439,7 @@ def serialize_graph(
 
 def parse_dataset(document) -> NodeTask | GraphTask:
     """Reads either a single-graph document or a {"graphs": [...]} collection."""
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"malformed document: {exc}") from None
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise GraphFormatError("malformed document: expected an object")
+    doc = _document(document)
     if "graphs" in doc:
         graphs = tuple(_graph_body(g) for g in doc["graphs"])
         labels = _parse_labels(doc.get("labels"), 0, len(graphs))

@@ -92,11 +92,15 @@ def _support_keys(targets: np.ndarray, relations: np.ndarray, num_nodes: int, ki
     return targets + relations * num_nodes if kind.endswith("wirgat") else targets
 
 
-def _uniform_coefficients(keys: np.ndarray) -> np.ndarray:
-    """1 / |support| for every edge: the constant-attention coefficients."""
+def _normalize(logits: Tensor | None, keys: np.ndarray, heads: int):
+    """Coefficients of every (edge, head), listed edge-major then head: a
+    softmax of the logits within each (support key, head), or without logits
+    the constant-attention weight 1 / |support| for every head."""
+    if logits is not None:
+        return segment_softmax(logits, (keys[:, None] * heads + np.arange(heads)).ravel())
     if not keys.size:
         return np.zeros(0, dtype=np.float64)
-    return 1.0 / np.bincount(keys)[keys]
+    return np.repeat(1.0 / np.bincount(keys)[keys], heads)
 
 
 def _edge_logits(qe: Tensor, ke: Tensor, mode: str) -> Tensor:
@@ -176,7 +180,7 @@ def attention_coefficients(
     segments = _support_keys(tgt_all, rel, num_nodes, kind)
 
     if kind.startswith("c-"):
-        return AttentionResult(_uniform_coefficients(segments), None, segments, slices)
+        return AttentionResult(_normalize(None, segments, 1), None, segments, slices)
 
     if logits is None:
         raise ValueError("learned normalization needs logits")
@@ -186,8 +190,7 @@ def attention_coefficients(
         if part.ndim != 1 or part.size != n:
             raise ValueError("logit vectors must align with the edge lists")
     flat = logits[0] if len(logits) == 1 else concat_flat(list(logits))
-    alpha = segment_softmax(flat, segments)
-    return AttentionResult(alpha, flat, segments, slices)
+    return AttentionResult(_normalize(flat, segments, 1), flat, segments, slices)
 
 
 class RgatLayer:
@@ -242,22 +245,17 @@ class RgatLayer:
             raise ValueError("attention dim must be positive")
 
         limit = num_relations * heads
-        if basis_w is not None:
-            if basis_w < 1:
+        basis = {"w": basis_w, "a": basis_a}
+        for kind, size in basis.items():
+            if size is None:
+                continue
+            if size < 1:
                 raise ValueError("basis size must be positive")
-            if basis_w > limit:
+            if size > limit:
                 warnings.warn(
-                    f"{name}: W basis size {basis_w} exceeds relations*heads={limit}, clamping"
+                    f"{name}: {kind.upper()} basis size {size} exceeds relations*heads={limit}, clamping"
                 )
-                basis_w = limit
-        if basis_a is not None:
-            if basis_a < 1:
-                raise ValueError("basis size must be positive")
-            if basis_a > limit:
-                warnings.warn(
-                    f"{name}: A basis size {basis_a} exceeds relations*heads={limit}, clamping"
-                )
-                basis_a = limit
+                basis[kind] = limit
 
         self.name = name
         self.in_dim = in_dim
@@ -271,55 +269,52 @@ class RgatLayer:
         self.head_agg = head_agg
         self.activation = activation
         self.use_bias = use_bias
-        self.basis_w = basis_w
-        self.basis_a = basis_a
+        self.basis_w = basis["w"]
+        self.basis_a = basis["a"]
 
         self.params: dict[str, np.ndarray] = {}
-        if basis_w is None:
-            for r in range(num_relations):
-                for k in range(heads):
-                    self.params[f"{name}.w.r{r}k{k}"] = glorot(rng, in_dim, per_head)
-        else:
-            rows = [glorot(rng, in_dim, per_head).ravel() for _ in range(basis_w)]
-            self.params[f"{name}.w_basis"] = np.stack(rows)
-            self.params[f"{name}.w_coeff"] = glorot(rng, limit, basis_w)
-        a_rows = 2 * per_head
-        if basis_a is None:
-            for r in range(num_relations):
-                for k in range(heads):
-                    self.params[f"{name}.a.r{r}k{k}"] = glorot(rng, a_rows, attention_dim)
-        else:
-            rows = [glorot(rng, a_rows, attention_dim).ravel() for _ in range(basis_a)]
-            self.params[f"{name}.a_basis"] = np.stack(rows)
-            self.params[f"{name}.a_coeff"] = glorot(rng, limit, basis_a)
+        for kind in ("w", "a"):
+            size, shape = self._kernel(kind)
+            names = self._kernel_names(kind)
+            if size is None:
+                for kernel_name in names:
+                    self.params[kernel_name] = glorot(rng, *shape)
+            else:
+                rows = [glorot(rng, *shape).ravel() for _ in range(size)]
+                self.params[names[0]] = np.stack(rows)
+                self.params[names[1]] = glorot(rng, limit, size)
         if use_bias:
             for k in range(heads):
                 self.params[f"{name}.bias.k{k}"] = np.zeros(per_head)
 
-    def w_parameter_names(self) -> list[str]:
-        if self.basis_w is None:
+    def _kernel(self, kind: str) -> tuple[int | None, tuple[int, int]]:
+        """Basis size and per-slot shape of the "w" or "a" kernels."""
+        if kind == "w":
+            return self.basis_w, (self.in_dim, self.per_head)
+        return self.basis_a, (2 * self.per_head, self.attention_dim)
+
+    def _kernel_names(self, kind: str) -> list[str]:
+        """Parameter names of one kernel kind: one per (relation, head)
+        slot, or the basis and its coefficients."""
+        if self._kernel(kind)[0] is None:
             return [
-                f"{self.name}.w.r{r}k{k}"
+                f"{self.name}.{kind}.r{r}k{k}"
                 for r in range(self.num_relations)
                 for k in range(self.heads)
             ]
-        return [f"{self.name}.w_basis", f"{self.name}.w_coeff"]
+        return [f"{self.name}.{kind}_basis", f"{self.name}.{kind}_coeff"]
+
+    def w_parameter_names(self) -> list[str]:
+        return self._kernel_names("w")
 
     def a_parameter_names(self) -> list[str]:
-        if self.basis_a is None:
-            return [
-                f"{self.name}.a.r{r}k{k}"
-                for r in range(self.num_relations)
-                for k in range(self.heads)
-            ]
-        return [f"{self.name}.a_basis", f"{self.name}.a_coeff"]
+        return self._kernel_names("a")
 
-    def _stacked_kernels(
-        self, leaves: dict[str, Tensor], kind: str, basis: int | None, shape: tuple[int, int]
-    ) -> Tensor:
-        """Every slot's kernel of one kind, each of the given shape, stacked
-        row-wise head-major: slot k*R + r is row block k*R + r."""
+    def _stacked_kernels(self, leaves: dict[str, Tensor], kind: str) -> Tensor:
+        """Every slot's kernel of one kind stacked row-wise head-major: slot
+        k*R + r is row block k*R + r."""
         heads, relations = self.heads, self.num_relations
+        basis, shape = self._kernel(kind)
         if basis is None:
             return concat_rows(
                 [leaves[f"{self.name}.{kind}.r{r}k{k}"] for k in range(heads) for r in range(relations)]
@@ -362,18 +357,16 @@ class RgatLayer:
         src_rows = (slot_base + src[:, None]).ravel()
         keys = _support_keys(tgt, rel, num_nodes, self.norm_kind)
 
-        w = self._stacked_kernels(leaves, "w", self.basis_w, (self.in_dim, fp))
-        g = block_matmul(h, w, slots, shared="x")
-        if constant:
-            alpha = np.repeat(_uniform_coefficients(keys), heads)
-        else:
-            a = self._stacked_kernels(leaves, "a", self.basis_a, (2 * fp, self.attention_dim))
+        g = block_matmul(h, self._stacked_kernels(leaves, "w"), slots, shared="x")
+        logits = None
+        if not constant:
+            a = self._stacked_kernels(leaves, "a")
             # the query and key products precede the message gather, so each
             # slot's feature gradient adds up in the order a per-slot loop has
             query = block_matmul(g, a, slots, window=(0, fp))
             key = block_matmul(g, a, slots, window=(fp, 2 * fp))
             logits = _edge_logits(gather_rows(query, tgt_rows), gather_rows(key, src_rows), self.logit_mode)
-            alpha = segment_softmax(logits, (keys[:, None] * heads + head).ravel())
+        alpha = _normalize(logits, keys, heads)
         values = gather_rows(g, src_rows)
         messages = reshape(scale_rows(values, alpha), (tgt.size, heads * fp))
         out = segment_reduce(messages, tgt, num_nodes, "sum")

@@ -143,12 +143,56 @@ def weighted_cross_entropy(probs: Tensor, graph_labels, weights) -> Tensor:
     return mul(sum_all(mul(log(picked), factors)), -1.0 / gi.size)
 
 
-class _TwoLayerModel:
-    """What both classifiers share: two attention layers, whose W and A
-    kernels form the four L2 groups."""
+class _Config:
+    """Dict round trip of the frozen config dataclasses."""
 
-    layer1: RgatLayer
-    layer2: RgatLayer
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**d)
+
+
+def _masked(h: Tensor, dropout) -> Tensor:
+    mask = None if dropout is None else dropout(h.shape)
+    return h if mask is None else mul(h, mask)
+
+
+class _TwoLayerModel:
+    """What both classifiers share: a concatenating relu attention layer,
+    then a second layer with the head's aggregation and activation, run as
+    mask -> layer1 -> mask -> layer2. Their W and A kernels form the four L2
+    groups.
+
+    A forward's ``dropout``, when given, is called with the shape of each
+    tensor the model masks, in forward order, and returns the mask to
+    multiply by or None.
+    """
+
+    def _build_layers(self, rng, in_dim, units, out_units, head_agg, activation, **basis) -> None:
+        """layer1 maps in_dim to units, layer2 units to out_units; both take
+        the config's heads, relations and attention settings."""
+        cfg = self.config
+        shared = dict(
+            heads=cfg.heads,
+            num_relations=cfg.num_relations,
+            logit_mode=cfg.logit_mode,
+            norm_kind=cfg.norm_kind,
+            attention_dim=cfg.attention_dim,
+            use_bias=cfg.use_bias,
+            **basis,
+        )
+        self.layer1 = RgatLayer(rng, "layer1", in_dim, units, head_agg="concat", activation="relu", **shared)
+        self.layer2 = RgatLayer(
+            rng, "layer2", units, out_units, head_agg=head_agg, activation=activation, **shared
+        )
+        self.params.update(self.layer1.params)
+        self.params.update(self.layer2.params)
+
+    def _encode(self, leaves, edges, num_nodes: int, h: Tensor, constant: bool, dropout) -> Tensor:
+        h = self.layer1.forward(leaves, edges, num_nodes, _masked(h, dropout), constant=constant)
+        return self.layer2.forward(leaves, edges, num_nodes, _masked(h, dropout), constant=constant)
 
     def l2_groups(self) -> dict[str, list[str]]:
         return {
@@ -164,7 +208,7 @@ class _TwoLayerModel:
 
 
 @dataclass(frozen=True)
-class NodeClassifierConfig:
+class NodeClassifierConfig(_Config):
     in_dim: int
     num_relations: int
     num_classes: int
@@ -179,13 +223,6 @@ class NodeClassifierConfig:
     one_hot: bool = False
     embed_dim: int | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NodeClassifierConfig":
-        return cls(**d)
-
 
 class NodeClassifier(_TwoLayerModel):
     """Two attention layers ending in per-node class probabilities.
@@ -199,50 +236,22 @@ class NodeClassifier(_TwoLayerModel):
     def __init__(self, rng: np.random.Generator, config: NodeClassifierConfig):
         self.config = config
         self.params: dict[str, np.ndarray] = {}
+        in_dim = config.in_dim
         if config.one_hot:
-            embed_dim = config.embed_dim or config.hidden_units
-            self.embed_dim = embed_dim
-            self.params["embed"] = glorot(rng, config.in_dim, embed_dim)
-            in_dim = embed_dim
-        else:
-            if config.embed_dim is not None:
-                raise ValueError("embed_dim only applies to one-hot inputs")
-            self.embed_dim = None
-            in_dim = config.in_dim
-        self.layer1 = RgatLayer(
+            in_dim = config.embed_dim or config.hidden_units
+            self.params["embed"] = glorot(rng, config.in_dim, in_dim)
+        elif config.embed_dim is not None:
+            raise ValueError("embed_dim only applies to one-hot inputs")
+        self._build_layers(
             rng,
-            "layer1",
             in_dim,
             config.hidden_units,
-            config.heads,
-            config.num_relations,
-            logit_mode=config.logit_mode,
-            norm_kind=config.norm_kind,
-            attention_dim=config.attention_dim,
-            head_agg="concat",
-            activation="relu",
-            use_bias=config.use_bias,
-            basis_w=config.basis_w,
-            basis_a=config.basis_a,
-        )
-        self.layer2 = RgatLayer(
-            rng,
-            "layer2",
-            config.hidden_units,
             config.num_classes,
-            config.heads,
-            config.num_relations,
-            logit_mode=config.logit_mode,
-            norm_kind=config.norm_kind,
-            attention_dim=config.attention_dim,
-            head_agg="mean",
-            activation="identity",
-            use_bias=config.use_bias,
+            "mean",
+            "identity",
             basis_w=config.basis_w,
             basis_a=config.basis_a,
         )
-        self.params.update(self.layer1.params)
-        self.params.update(self.layer2.params)
 
     def forward(
         self,
@@ -252,9 +261,10 @@ class NodeClassifier(_TwoLayerModel):
         features: Tensor | None,
         *,
         constant: bool = False,
-        input_mask: np.ndarray | None = None,
-        hidden_mask: np.ndarray | None = None,
+        dropout=None,
     ) -> Tensor:
+        """Returns (num_nodes, num_classes) probabilities; dropout masks the
+        input features (or embedding table) and the hidden layer."""
         if self.config.one_hot:
             if num_nodes != self.config.in_dim:
                 raise ValueError("one-hot model is bound to a fixed node count")
@@ -263,13 +273,7 @@ class NodeClassifier(_TwoLayerModel):
             if features is None:
                 raise ValueError("feature matrix required")
             h = features
-        if input_mask is not None:
-            h = mul(h, input_mask)
-        h = self.layer1.forward(leaves, edges, num_nodes, h, constant=constant)
-        if hidden_mask is not None:
-            h = mul(h, hidden_mask)
-        out = self.layer2.forward(leaves, edges, num_nodes, h, constant=constant)
-        return row_softmax(out)
+        return row_softmax(self._encode(leaves, edges, num_nodes, h, constant, dropout))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,7 @@ class NodeClassifier(_TwoLayerModel):
 
 
 @dataclass(frozen=True)
-class GraphClassifierConfig:
+class GraphClassifierConfig(_Config):
     feature_dim: int
     num_relations: int
     num_tasks: int
@@ -290,13 +294,6 @@ class GraphClassifierConfig:
     attention_dim: int | None = None
     use_bias: bool = True
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraphClassifierConfig":
-        return cls(**d)
-
 
 class GraphClassifier(_TwoLayerModel):
     """Two concatenating attention layers, a mean/max pool squashed by tanh,
@@ -304,40 +301,11 @@ class GraphClassifier(_TwoLayerModel):
 
     def __init__(self, rng: np.random.Generator, config: GraphClassifierConfig):
         self.config = config
-        self.layer1 = RgatLayer(
-            rng,
-            "layer1",
-            config.feature_dim,
-            config.graph_units,
-            config.heads,
-            config.num_relations,
-            logit_mode=config.logit_mode,
-            norm_kind=config.norm_kind,
-            attention_dim=config.attention_dim,
-            head_agg="concat",
-            activation="relu",
-            use_bias=config.use_bias,
-        )
-        self.layer2 = RgatLayer(
-            rng,
-            "layer2",
-            config.graph_units,
-            config.graph_units,
-            config.heads,
-            config.num_relations,
-            logit_mode=config.logit_mode,
-            norm_kind=config.norm_kind,
-            attention_dim=config.attention_dim,
-            head_agg="concat",
-            activation="relu",
-            use_bias=config.use_bias,
-        )
         self.params: dict[str, np.ndarray] = {}
-        self.params.update(self.layer1.params)
-        self.params.update(self.layer2.params)
-        pooled = 2 * config.graph_units
+        units = config.graph_units
+        self._build_layers(rng, config.feature_dim, units, units, "concat", "relu")
         out_width = config.num_tasks * config.num_classes
-        self.params["dense1.w"] = glorot(rng, pooled, config.dense_units)
+        self.params["dense1.w"] = glorot(rng, 2 * units, config.dense_units)
         self.params["dense1.b"] = np.zeros(config.dense_units)
         self.params["dense2.w"] = glorot(rng, config.dense_units, out_width)
         self.params["dense2.b"] = np.zeros(out_width)
@@ -352,26 +320,15 @@ class GraphClassifier(_TwoLayerModel):
         graph_count: int,
         *,
         constant: bool = False,
-        input_mask: np.ndarray | None = None,
-        hidden_masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-        dense_mask: np.ndarray | None = None,
+        dropout=None,
     ) -> Tensor:
         """Returns (graph_count * num_tasks, num_classes) probabilities with
-        row g*T + t holding graph g's distribution for task t."""
-        h = features
-        if input_mask is not None:
-            h = mul(h, input_mask)
-        h = self.layer1.forward(leaves, edges, num_nodes, h, constant=constant)
-        if hidden_masks[0] is not None:
-            h = mul(h, hidden_masks[0])
-        h = self.layer2.forward(leaves, edges, num_nodes, h, constant=constant)
-        if hidden_masks[1] is not None:
-            h = mul(h, hidden_masks[1])
-        pooled = tanh(graph_gather(h, graph_segment, graph_count))
+        row g*T + t holding graph g's distribution for task t; dropout masks
+        the input features, both layer outputs and the first dense layer."""
+        h = self._encode(leaves, edges, num_nodes, features, constant, dropout)
+        pooled = tanh(graph_gather(_masked(h, dropout), graph_segment, graph_count))
         d = relu(add(matmul(pooled, leaves["dense1.w"]), leaves["dense1.b"]))
-        if dense_mask is not None:
-            d = mul(d, dense_mask)
-        out = add(matmul(d, leaves["dense2.w"]), leaves["dense2.b"])
+        out = add(matmul(_masked(d, dropout), leaves["dense2.w"]), leaves["dense2.b"])
         cfg = self.config
         out = reshape(out, (graph_count * cfg.num_tasks, cfg.num_classes))
         return row_softmax(out)

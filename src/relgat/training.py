@@ -83,14 +83,16 @@ class AdamState:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, in place."""
     state.step += 1
@@ -101,11 +103,11 @@ def adam_step(
             raise DivergenceError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def feature_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray | None:
@@ -130,6 +132,17 @@ def drop_edges(rng: np.random.Generator, edges, rate: float, *, self_relation: b
         keep = rng.random(len(tgt)) >= rate
         out.append((tgt[keep], src[keep]))
     return tuple(out)
+
+
+def _dropout(rng, config: TrainConfig, graph):
+    """The run's dropout for one forward: the graph's edges after edge
+    dropout, and the mask maker the model calls with the shape of each
+    tensor it masks. Without a generator the forward is clean."""
+    if rng is None:
+        return graph.edges, None
+    edges = drop_edges(rng, graph.edges, config.edge_dropout, self_relation=graph.self_relation)
+    rate = config.feature_dropout
+    return edges, lambda shape: feature_mask(rng, shape, rate)
 
 
 def kfold_split(num_items: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -189,9 +202,6 @@ class _NodeFit:
             raise TypeError("node model needs a node task")
         self.model = model
         self.task = task
-        n = task.graph.num_nodes
-        width = model.embed_dim if model.config.one_hot else task.graph.feature_dim
-        self.mask_shapes = ((n, width), (n, model.config.hidden_units))
 
     def part(self, split: str):
         ids = _split_ids(self.task, split)
@@ -200,19 +210,10 @@ class _NodeFit:
 
     def forward(self, tape, leaves, part, *, rng=None, config=None, constant=False):
         g = self.task.graph
-        edges, masks = g.edges, (None, None)
-        if rng is not None:
-            edges = drop_edges(rng, edges, config.edge_dropout, self_relation=g.self_relation)
-            masks = [feature_mask(rng, s, config.feature_dropout) for s in self.mask_shapes]
+        edges, dropout = _dropout(rng, config, g)
         features = None if g.features is None else tape.leaf(g.features)
         return self.model.forward(
-            leaves,
-            edges,
-            g.num_nodes,
-            features,
-            constant=constant,
-            input_mask=masks[0],
-            hidden_mask=masks[1],
+            leaves, edges, g.num_nodes, features, constant=constant, dropout=dropout
         )
 
     def criterion(self, probs: Tensor, part) -> Tensor:
@@ -237,12 +238,12 @@ class _GraphFit:
     """Minibatched graph classification: shuffled batches each epoch, batches
     without a label skipped, and one clean forward per scored part."""
 
-    def __init__(self, model: GraphClassifier, task, weights=None):
+    def __init__(self, model: GraphClassifier, task):
         if not isinstance(task, GraphTask):
             raise TypeError("graph model needs a graph task")
         self.model = model
         self.task = task
-        self.weights = _resolve_weights(model, task) if weights is None else np.asarray(weights)
+        self.weights = _resolve_weights(model, task)
 
     def part(self, split: str):
         return self._part(_split_ids(self.task, split))
@@ -254,17 +255,7 @@ class _GraphFit:
     def forward(self, tape, leaves, part, *, rng=None, config=None, constant=False):
         _, batch, _ = part
         g = batch.graph
-        edges, masks = g.edges, (None, None, None, None)
-        if rng is not None:
-            edges = drop_edges(rng, edges, config.edge_dropout, self_relation=g.self_relation)
-            units, dense = self.model.config.graph_units, self.model.config.dense_units
-            shapes = (
-                (g.num_nodes, g.feature_dim),
-                (g.num_nodes, units),
-                (g.num_nodes, units),
-                (batch.graph_count, dense),
-            )
-            masks = [feature_mask(rng, s, config.feature_dropout) for s in shapes]
+        edges, dropout = _dropout(rng, config, g)
         return self.model.forward(
             leaves,
             edges,
@@ -273,9 +264,7 @@ class _GraphFit:
             batch.graph_segment,
             batch.graph_count,
             constant=constant,
-            input_mask=masks[0],
-            hidden_masks=(masks[1], masks[2]),
-            dense_mask=masks[3],
+            dropout=dropout,
         )
 
     def criterion(self, probs: Tensor, part) -> Tensor:
@@ -316,11 +305,11 @@ class _GraphFit:
         return total / max(steps, 1)
 
 
-def _fit(model, task, weights=None):
+def _fit(model, task):
     if isinstance(model, NodeClassifier):
         return _NodeFit(model, task)
     if isinstance(model, GraphClassifier):
-        return _GraphFit(model, task, weights)
+        return _GraphFit(model, task)
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -363,10 +352,10 @@ def _clean_forward(fit, params, part, constant: bool) -> Tensor:
 # evaluation and the training loop
 
 
-def evaluate(model, task, split: str = "test", *, constant: bool = False, weights=None) -> dict:
+def evaluate(model, task, split: str = "test", *, constant: bool = False) -> dict:
     """Clean-forward metrics on one split. Never mutates model state or
     consumes random numbers."""
-    fit = _fit(model, task, weights)
+    fit = _fit(model, task)
     return fit.score(model.params, [fit.part(split)], constant)[0]
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from relgat.graph import build_graph
+from relgat.graph import batch_graphs, build_graph
 from relgat.models import (
     GraphClassifier,
     GraphClassifierConfig,
@@ -138,6 +138,65 @@ def test_node_classifier_one_hot_uses_embedding_table():
     assert probs.shape == (5, 2)
     with pytest.raises(ValueError, match="fixed node count"):
         model.forward(bind_params(Tape(), model.params), g.edges, 4, None)
+
+
+def _recording_dropout():
+    """A dropout that records each requested shape and masks with ones."""
+    shapes = []
+
+    def dropout(shape):
+        shapes.append(tuple(shape))
+        return np.ones(shape)
+
+    return dropout, shapes
+
+
+@pytest.mark.parametrize("one_hot", [False, True])
+def test_node_dropout_masks_the_input_then_the_hidden_layer(one_hot):
+    rng = RNG(6)
+    n, f = 5, 3
+    features = None if one_hot else rng.normal(size=(n, f))
+    g = build_graph(n, 2, [[0, 1, 2], [0, 3, 4], [1, 2, 0]], features, one_hot=one_hot)
+    cfg = NodeClassifierConfig(
+        in_dim=n if one_hot else f,
+        num_relations=2,
+        num_classes=2,
+        hidden_units=6,
+        heads=2,
+        one_hot=one_hot,
+        embed_dim=4 if one_hot else None,
+    )
+    model = NodeClassifier(rng, cfg)
+    tape = Tape()
+    leaves = bind_params(tape, model.params)
+    features = None if one_hot else tape.leaf(g.features)
+    dropout, shapes = _recording_dropout()
+    masked = model.forward(leaves, g.edges, n, features, dropout=dropout)
+    assert shapes == [(n, 4 if one_hot else f), (n, 6)]
+    plain = model.forward(leaves, g.edges, n, features)
+    assert masked.data.tobytes() == plain.data.tobytes()
+
+
+def test_graph_dropout_masks_input_both_layers_and_the_dense_layer():
+    rng = RNG(7)
+    cfg = GraphClassifierConfig(
+        feature_dim=3, num_relations=1, num_tasks=2, num_classes=2, graph_units=4, dense_units=5
+    )
+    model = GraphClassifier(rng, cfg)
+    batch = batch_graphs(
+        [
+            build_graph(2, 1, [[0, 0, 1]], rng.normal(size=(2, 3))),
+            build_graph(3, 1, [[0, 1, 2]], rng.normal(size=(3, 3))),
+        ]
+    )
+    g = batch.graph
+    tape = Tape()
+    leaves = bind_params(tape, model.params)
+    args = (leaves, g.edges, 5, tape.leaf(g.features), batch.graph_segment, 2)
+    dropout, shapes = _recording_dropout()
+    masked = model.forward(*args, dropout=dropout)
+    assert shapes == [(5, 3), (5, 4), (5, 4), (2, 5)]
+    assert masked.data.tobytes() == model.forward(*args).data.tobytes()
 
 
 def test_node_classifier_requires_features_when_not_one_hot():

@@ -1,6 +1,7 @@
 """Optimizer math, dropout semantics, metric computation, determinism and
 the early-stopping protocol."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -287,11 +288,12 @@ def test_graph_training_runs_minibatched_and_deterministic():
 
 def test_graph_evaluate_respects_class_weights_override():
     model, task = _graph_task()
-    w_balanced = np.ones((1, 2))
-    w_skew = np.array([[1.0, 5.0]])
-    a = evaluate(model, task, "test", weights=w_balanced)["loss"]
-    b = evaluate(model, task, "test", weights=w_skew)["loss"]
-    assert a != b
+
+    def loss(weights):
+        labels = dataclasses.replace(task.labels, class_weights=weights)
+        return evaluate(model, GraphTask(task.graphs, labels, task.split), "test")["loss"]
+
+    assert loss(np.ones((1, 2))) != loss(np.array([[1.0, 5.0]]))
 
 
 def test_tapes_are_freed_without_the_cycle_collector(monkeypatch):
@@ -341,6 +343,35 @@ def test_scoring_forward_equals_a_recorded_forward_bitwise(kind, constant):
     assert not scored.tape.differentiable
     assert scored.data.tobytes() == recorded.data.tobytes()
     assert all(p.flags.writeable for p in model.params.values())
+
+
+@pytest.mark.parametrize("kind", ["node", "graph"])
+def test_scoring_forward_draws_no_dropout_mask(kind, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(training, "feature_mask", lambda *args: drawn.append(args))
+    model, task = _node_task() if kind == "node" else _graph_task()
+    fit = training._fit(model, task)
+    part = fit.part("train")
+    training._clean_forward(fit, model.params, part, False)
+    assert drawn == []
+    tape = Tape()
+    config = TrainConfig(feature_dropout=0.5)
+    fit.forward(tape, bind_params(tape, model.params), part, rng=RNG(0), config=config)
+    assert [args[2] for args in drawn] == [0.5] * (2 if kind == "node" else 4)
+
+
+@pytest.mark.parametrize("kind", ["node", "graph"])
+def test_dropout_at_rate_zero_draws_no_random_numbers(kind):
+    model, task = _node_task() if kind == "node" else _graph_task()
+    fit = training._fit(model, task)
+    part = fit.part("train")
+    rng = RNG(0)
+    before = rng.bit_generator.state
+    tape = Tape()
+    probs = fit.forward(tape, bind_params(tape, model.params), part, rng=rng, config=TrainConfig())
+    assert rng.bit_generator.state == before
+    clean = training._clean_forward(fit, model.params, part, False)
+    assert probs.data.tobytes() == clean.data.tobytes()
 
 
 def _count_forwards(model) -> list:
