@@ -37,6 +37,7 @@ from .models import (
     save_checkpoint,
 )
 from .search import (
+    _train_config,
     best_trial,
     build_model,
     inductive_space,
@@ -45,7 +46,7 @@ from .search import (
     transductive_space,
 )
 from .stats import cdf_tables, pairwise_pvalues
-from .training import DivergenceError, TrainConfig, evaluate, train
+from .training import DivergenceError, evaluate, train
 
 __all__ = ["main"]
 
@@ -100,15 +101,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _l2_mapping(args) -> dict[str, float]:
-    base = args.l2 or 0.0
-    out = {}
-    for group in ("layer1_w", "layer1_a", "layer2_w", "layer2_a"):
-        value = getattr(args, f"l2_{group}")
-        out[group] = base if value is None else value
-    return {k: v for k, v in out.items() if v > 0}
-
-
 def _write_metrics(path: Path, history: list[dict]) -> None:
     with open(path, "w") as fh:
         for record in history:
@@ -138,16 +130,7 @@ def _cmd_train(args) -> int:
     kind = "node" if isinstance(task, NodeTask) else "graph"
     hyper = {**vars(args), "use_bias": not args.no_bias}
     model = build_model(task, hyper, np.random.default_rng(args.seed))
-    tcfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        patience=args.patience,
-        batch_size=args.batch_size,
-        feature_dropout=args.feature_dropout,
-        edge_dropout=args.edge_dropout,
-        l2=_l2_mapping(args),
-        seed=args.seed,
-    )
+    tcfg = _train_config(hyper, args.seed, {"epochs": args.epochs, "patience": args.patience})
     result = train(model, task, tcfg)
 
     out = Path(args.out)
@@ -332,7 +315,7 @@ def _parser() -> argparse.ArgumentParser:
     t.add_argument("--basis-w", type=int, default=None)
     t.add_argument("--basis-a", type=int, default=None)
     t.add_argument("--no-bias", action="store_true")
-    t.add_argument("--lr", type=float, default=0.01)
+    t.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=0.01)
     t.add_argument("--epochs", type=int, default=200)
     t.add_argument("--patience", type=int, default=30)
     t.add_argument("--batch-size", type=int, default=64)

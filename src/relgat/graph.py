@@ -89,15 +89,6 @@ class RelGraph:
             out.extend((r, int(t), int(s)) for t, s in zip(tgt, src))
         return out
 
-    def in_degrees(self, relation: int | None = None) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        relations = range(self.num_relations) if relation is None else [relation]
-        for r in relations:
-            tgt, _ = self.edges[r]
-            if len(tgt):
-                deg += np.bincount(tgt, minlength=self.num_nodes)
-        return deg
-
 
 def _canonical_edges(
     num_nodes: int, num_relations: int, triples: Iterable[Sequence[int]]
@@ -281,6 +272,12 @@ def _parse_labels(obj, num_nodes: int, num_graphs: int) -> LabelSet | None:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise GraphFormatError("malformed labels block")
     kind = obj["kind"]
+    if kind not in ("node", "graph"):
+        raise GraphFormatError(f"unknown label kind {kind!r}")
+    required = ("num_classes",) if kind == "node" else ("num_classes", "num_tasks", "graph_classes")
+    for key in required:
+        if key not in obj:
+            raise GraphFormatError(f"{kind} labels block lacks {key!r}")
     if kind == "node":
         classes = obj.get("node_classes")
         if not isinstance(classes, dict):
@@ -292,20 +289,18 @@ def _parse_labels(obj, num_nodes: int, num_graphs: int) -> LabelSet | None:
                 raise GraphFormatError(f"labelled node index out of range: {node}")
             mapping[node] = int(value)
         return LabelSet("node", int(obj["num_classes"]), node_classes=mapping)
-    if kind == "graph":
-        gc = np.asarray(obj["graph_classes"], dtype=np.int64)
-        if gc.ndim != 2 or gc.shape[0] != num_graphs:
-            raise GraphFormatError("graph_classes must carry one row per graph")
-        weights = obj.get("class_weights")
-        w = None if weights is None else np.asarray(weights, dtype=np.float64)
-        return LabelSet(
-            "graph",
-            int(obj["num_classes"]),
-            num_tasks=int(obj["num_tasks"]),
-            graph_classes=_frozen(gc),
-            class_weights=None if w is None else _frozen(w),
-        )
-    raise GraphFormatError(f"unknown label kind {kind!r}")
+    gc = np.asarray(obj["graph_classes"], dtype=np.int64)
+    if gc.ndim != 2 or gc.shape[0] != num_graphs:
+        raise GraphFormatError("graph_classes must carry one row per graph")
+    weights = obj.get("class_weights")
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    return LabelSet(
+        "graph",
+        int(obj["num_classes"]),
+        num_tasks=int(obj["num_tasks"]),
+        graph_classes=_frozen(gc),
+        class_weights=None if w is None else _frozen(w),
+    )
 
 
 def _parse_split(obj, labels: LabelSet | None) -> Split | None:
@@ -339,23 +334,14 @@ def _graph_body(doc: dict) -> RelGraph:
     self_relation = doc.get("self_relation", False)
     if not isinstance(self_relation, bool):
         raise GraphFormatError("self_relation must be true or false")
-    if features == ONE_HOT:
-        fdim = doc.get("feature_dim")
-        return build_graph(
-            num_nodes,
-            num_relations,
-            edges,
-            one_hot=True,
-            feature_dim=None if fdim is None else int(fdim),
-            self_relation=self_relation,
-        )
-    feat = np.asarray(features, dtype=np.float64)
+    one_hot = features == ONE_HOT
     declared = doc.get("feature_dim")
     return build_graph(
         num_nodes,
         num_relations,
         edges,
-        feat,
+        None if one_hot else np.asarray(features, dtype=np.float64),
+        one_hot=one_hot,
         feature_dim=None if declared is None else int(declared),
         self_relation=self_relation,
     )
@@ -495,18 +481,16 @@ def batch_graphs(graphs: Sequence[RelGraph]) -> BatchedGraph:
     """
     if not graphs:
         raise GraphFormatError("nothing to batch")
+    if any(g.one_hot_features for g in graphs):
+        raise GraphFormatError("one-hot graphs cannot be batched")
     first = graphs[0]
     for g in graphs[1:]:
         if g.num_relations != first.num_relations:
             raise GraphFormatError("relation-count mismatch between batch members")
         if g.feature_dim != first.feature_dim:
             raise GraphFormatError("feature-dim mismatch between batch members")
-        if g.one_hot_features or first.one_hot_features:
-            raise GraphFormatError("one-hot graphs cannot be batched")
         if g.self_relation != first.self_relation:
             raise GraphFormatError("self-relation flags disagree between batch members")
-    if first.one_hot_features:
-        raise GraphFormatError("one-hot graphs cannot be batched")
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     total = int(sizes.sum())

@@ -142,17 +142,11 @@ class AttentionResult:
     """
 
     coefficients: object
-    logits: object
     segments: np.ndarray
-    relation_slices: tuple[tuple[int, int], ...]
 
     def coefficient_values(self) -> np.ndarray:
         c = self.coefficients
         return c.data if isinstance(c, Tensor) else c
-
-    def per_relation(self, relation: int) -> np.ndarray:
-        start, stop = self.relation_slices[relation]
-        return self.coefficient_values()[start:stop]
 
 
 def attention_coefficients(
@@ -172,25 +166,22 @@ def attention_coefficients(
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")
     tgt_all, _, rel = _edge_arrays(edges)
-    offsets = np.cumsum([0] + [len(t) for t, _ in edges])
-    slices = tuple((int(offsets[i]), int(offsets[i + 1])) for i in range(len(edges)))
-    sizes = np.diff(offsets)
     if tgt_all.size and (tgt_all.min() < 0 or tgt_all.max() >= num_nodes):
         raise ValueError("edge target out of range")
     segments = _support_keys(tgt_all, rel, num_nodes, kind)
 
     if kind.startswith("c-"):
-        return AttentionResult(_normalize(None, segments, 1), None, segments, slices)
+        return AttentionResult(_normalize(None, segments, 1), segments)
 
     if logits is None:
         raise ValueError("learned normalization needs logits")
     if len(logits) != len(edges):
         raise ValueError("one logit vector per relation required")
-    for part, n in zip(logits, sizes):
-        if part.ndim != 1 or part.size != n:
+    for part, (t, _) in zip(logits, edges):
+        if part.ndim != 1 or part.size != len(t):
             raise ValueError("logit vectors must align with the edge lists")
     flat = logits[0] if len(logits) == 1 else concat_flat(list(logits))
-    return AttentionResult(_normalize(flat, segments, 1), flat, segments, slices)
+    return AttentionResult(_normalize(flat, segments, 1), segments)
 
 
 class RgatLayer:

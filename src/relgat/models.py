@@ -82,11 +82,19 @@ def masked_cross_entropy(probs: Tensor, node_ids, classes) -> Tensor:
         raise ValueError("supervised node id out of range")
     if cls.min() < 0 or cls.max() >= c:
         raise ValueError("class label out of range")
-    rows = gather_rows(probs, ids)
-    onehot = np.zeros((ids.size, c))
-    onehot[np.arange(ids.size), cls] = 1.0
-    picked = rowsum(mul(rows, onehot))
-    return mul(sum_all(log(picked)), -1.0 / ids.size)
+    return _nll(probs, ids, cls, None)
+
+
+def _nll(probs: Tensor, rows, classes: np.ndarray, factors) -> Tensor:
+    """Mean of -factor * log(probs[row, class]) over the picked rows; the
+    one loss body of both cross-entropies, checked by their callers."""
+    n = classes.size
+    onehot = np.zeros((n, probs.shape[1]))
+    onehot[np.arange(n), classes] = 1.0
+    logs = log(rowsum(mul(gather_rows(probs, rows), onehot)))
+    if factors is not None:
+        logs = mul(logs, factors)
+    return mul(sum_all(logs), -1.0 / n)
 
 
 def inverse_frequency_weights(graph_labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -135,12 +143,7 @@ def weighted_cross_entropy(probs: Tensor, graph_labels, weights) -> Tensor:
     cls = labels[gi, ti]
     if cls.max() >= c:
         raise ValueError("class label out of range")
-    rows = gather_rows(probs, gi * t + ti)
-    onehot = np.zeros((gi.size, c))
-    onehot[np.arange(gi.size), cls] = 1.0
-    picked = rowsum(mul(rows, onehot))
-    factors = w[ti, cls]
-    return mul(sum_all(mul(log(picked), factors)), -1.0 / gi.size)
+    return _nll(probs, gi * t + ti, cls, w[ti, cls])
 
 
 class _Config:
@@ -390,10 +393,10 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(f"checkpoint holds {raw.size} values, manifest declares {total}")
     params = {}
     for entry in entries:
-        shape = tuple(entry["shape"])
+        try:
+            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+        except KeyError as exc:
+            raise GraphFormatError(f"checkpoint parameter entry lacks {exc.args[0]!r}") from None
         size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        params[entry["name"]] = (
-            raw[start : start + size].reshape(shape).astype(np.float64)
-        )
+        params[name] = raw[start : start + size].reshape(shape).astype(np.float64)
     return params, manifest

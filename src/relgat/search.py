@@ -160,7 +160,12 @@ def save_space(space: dict, path) -> None:
 
 def load_space(path) -> dict:
     doc = json.loads(Path(path).read_text())
-    return {name: _prior_from_dict(d) for name, d in doc.items()}
+    if not isinstance(doc, dict) or not all(isinstance(d, dict) for d in doc.values()):
+        raise ValueError(f"{path}: a space maps names to prior objects")
+    try:
+        return {name: _prior_from_dict(d) for name, d in doc.items()}
+    except KeyError as exc:
+        raise ValueError(f"{path}: a prior lacks {exc.args[0]!r}") from None
 
 
 def sample_config(space: dict, rng: np.random.Generator) -> dict:
@@ -209,11 +214,15 @@ def trial_seeds(master_seed: int, trial_id: int) -> tuple[int, int, int]:
 
 
 def _l2_from_config(config: dict) -> dict[str, float]:
+    """L2 weight per kernel group: l2_<group>, else the all-group l2;
+    groups left unset or at weights <= 0 are left out."""
     out = {}
     for group in ("layer1_w", "layer1_a", "layer2_w", "layer2_a"):
-        key = f"l2_{group}"
-        if key in config:
-            out[group] = float(config[key])
+        value = config.get(f"l2_{group}")
+        if value is None:
+            value = config.get("l2")
+        if value is not None and value > 0:
+            out[group] = float(value)
     return out
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "log",
     "matmul",
     "mul",
-    "neg",
     "relu",
     "reshape",
     "row_softmax",
@@ -49,7 +48,6 @@ __all__ = [
     "segment_reduce",
     "segment_softmax",
     "slice_rows",
-    "sub",
     "sum_all",
     "sum_blocks",
     "sum_squares",
@@ -404,48 +402,19 @@ def sum_blocks(a: Tensor, blocks: int) -> Tensor:
     return a.tape.record(out, backward)
 
 
-def add(a: Tensor, b) -> Tensor:
-    a_id = a.id
-    if isinstance(b, Tensor):
-        tape = _check_tape(a, b)
-        b_id = b.id
-        if a.shape == b.shape:
-            out = a.data + b.data
-
-            def backward(g, grads):
-                _acc(grads, a_id, g)
-                _acc(grads, b_id, g)
-
-        elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-            out = a.data + b.data
-
-            def backward(g, grads):
-                _acc(grads, a_id, g)
-                _acc(grads, b_id, g.sum(axis=0))
-
-        else:
-            raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-        return tape.record(out, backward)
-
-    const = np.asarray(b, dtype=np.float64)
-    if const.ndim != 0 and const.shape != a.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} + {const.shape}")
-    out = a.data + const
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for equal shapes, or a (n, f) matrix plus a length-f row."""
+    tape = _check_tape(a, b)
+    row = a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]
+    if a.shape != b.shape and not row:
+        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
+    a_id, b_id = a.id, b.id
 
     def backward(g, grads):
         _acc(grads, a_id, g)
+        _acc(grads, b_id, g.sum(axis=0) if row else g)
 
-    return a.tape.record(out, backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    return mul(a, -1.0)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        return add(a, neg(b))
-    return add(a, -np.asarray(b, dtype=np.float64))
+    return tape.record(a.data + b.data, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:

@@ -144,6 +144,31 @@ def test_train_config_hash_is_pinned(tmp_path, capsys, kind):
     assert summary["config_hash"] == manifest["config_hash"] == PINNED_CONFIG_HASHES[kind]
 
 
+def test_train_manifest_holds_the_shared_train_config(tmp_path, capsys):
+    # relgat train and sweep trials build their TrainConfig through one function
+    from dataclasses import asdict
+
+    from relgat.search import _train_config
+
+    data = _gen(tmp_path)
+    flags = ["--lr", "0.02", "--batch-size", "8", "--l2", "1e-4", "--l2-layer2-a", "0"]
+    flags += ["--l2-layer1-w", "3e-3", "--feature-dropout", "0.1", "--edge-dropout", "0.2"]
+    out = _train(tmp_path, data, "run", seed=5, extra=flags)
+    settings = {
+        "learning_rate": 0.02,
+        "batch_size": 8,
+        "l2": 1e-4,
+        "l2_layer1_w": 3e-3,
+        "l2_layer2_a": 0.0,
+        "feature_dropout": 0.1,
+        "edge_dropout": 0.2,
+    }
+    expected = asdict(_train_config(settings, 5, {"epochs": 3, "patience": 3}))
+    assert expected["l2"] == {"layer1_w": 3e-3, "layer1_a": 1e-4, "layer2_w": 1e-4}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["train"] == expected
+
+
 def test_train_rejects_a_false_self_relation_claim(tmp_path, capsys):
     doc = json.loads(_one_hot_node_data(tmp_path).read_text())
     doc["self_relation"] = True  # the last relation is a ring, not the identity
@@ -280,6 +305,54 @@ def test_eval_rejects_incomplete_manifest(tmp_path, capsys, edit, message):
     assert main(["eval", "--data", str(data), "--checkpoint", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["name", "shape", "offset"])
+def test_eval_rejects_a_parameter_entry_without_a_field(tmp_path, capsys, field):
+    data = _gen(tmp_path)
+    out = _train(tmp_path, data, "run")
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["parameters"][1][field]
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(field) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind,field",
+    [("node", "num_classes"), ("graph", "num_classes"), ("graph", "num_tasks"), ("graph", "graph_classes")],
+)
+def test_train_rejects_a_labels_block_without_a_field(tmp_path, capsys, kind, field):
+    source = _one_hot_node_data(tmp_path) if kind == "node" else _gen(tmp_path)
+    doc = json.loads(source.read_text())
+    del doc["labels"][field]
+    data = tmp_path / "unlabelled.json"
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert repr(field) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "space,message",
+    [({"heads": {"kind": "one_of"}}, "'options'"), (["x"], "maps names to prior objects")],
+    ids=["prior-without-options", "not-an-object"],
+)
+def test_sweep_rejects_a_malformed_space_file(tmp_path, capsys, space, message):
+    data = _gen(tmp_path)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    records = tmp_path / "records.jsonl"
+    capsys.readouterr()
+    args = ["sweep", "--data", str(data), "--out", str(records), "--space", str(path)]
+    assert main(args + ["--trials", "1", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not records.exists()
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

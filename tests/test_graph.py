@@ -60,12 +60,6 @@ def test_feature_shape_mismatch_rejected():
         build_graph(3, 1, [[0, 0, 1]], _features(2, 2))
 
 
-def test_in_degrees():
-    g = build_graph(3, 2, [[0, 1, 0], [0, 1, 2], [1, 0, 1]], _features(3, 2))
-    assert list(g.in_degrees()) == [1, 2, 0]
-    assert list(g.in_degrees(0)) == [0, 2, 0]
-
-
 def test_serialize_parse_roundtrip_is_canonical():
     g = build_graph(4, 2, [[1, 2, 0], [0, 1, 2], [0, 3, 1]], _features(4, 3))
     doc = serialize_graph(g)

@@ -151,16 +151,6 @@ def test_coefficients_sum_to_one_per_support():
                 assert vals[segs == s].sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_relation_slices_recover_per_relation_blocks():
-    edges = [
-        (np.array([0, 1]), np.array([1, 0])),
-        (np.array([1]), np.array([0])),
-    ]
-    att = attention_coefficients(None, edges, 2, "c-wirgat")
-    assert att.relation_slices == ((0, 2), (2, 3))
-    assert att.per_relation(1).shape == (1,)
-
-
 def test_layer_shapes_concat_and_mean():
     rng = RNG(1)
     g = build_graph(6, 3, [[0, 1, 2], [1, 3, 4], [2, 5, 0]], rng.normal(size=(6, 4)))

@@ -361,6 +361,24 @@ def test_sweep_trial_equals_direct_train_on_self_relation_task(tmp_path, kind, p
         }
 
 
+@pytest.mark.parametrize(
+    "config,expected",
+    [
+        ({"l2": 1e-3}, dict.fromkeys(["layer1_w", "layer1_a", "layer2_w", "layer2_a"], 1e-3)),
+        (
+            {"l2": 1e-3, "l2_layer2_a": 5e-2},
+            {"layer1_w": 1e-3, "layer1_a": 1e-3, "layer2_w": 1e-3, "layer2_a": 5e-2},
+        ),
+        ({"l2": 1e-3, "l2_layer1_w": 0.0}, {"layer1_a": 1e-3, "layer2_w": 1e-3, "layer2_a": 1e-3}),
+        ({"l2": None, "l2_layer1_w": None, "learning_rate": 0.1}, {}),
+        ({}, {}),
+    ],
+    ids=["all-groups", "per-group-override", "per-group-zero-drops", "none-set", "empty"],
+)
+def test_l2_rule(config, expected):
+    assert search._l2_from_config(config) == expected
+
+
 def test_best_trial_ignores_failures():
     records = [
         {"trial": 0, "status": "diverged", "objective": None},
