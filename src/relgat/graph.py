@@ -200,8 +200,8 @@ class LabelSet:
                 w = self.class_weights
                 if w.shape != (self.num_tasks, self.num_classes):
                     raise GraphFormatError("class_weights must be (tasks, classes)")
-                if np.any(w < 0):
-                    raise GraphFormatError("class weights must be non-negative")
+                if not np.all((w >= 0) & np.isfinite(w)):
+                    raise GraphFormatError("class_weights must be finite and non-negative")
 
     def labelled_nodes(self) -> list[int]:
         return sorted(self.node_classes) if self.node_classes is not None else []
@@ -266,6 +266,13 @@ class BatchedGraph:
 # document parsing and serialization
 
 
+def _integer(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise GraphFormatError(f"{field} must be an integer, got {value!r}") from None
+
+
 def _parse_labels(obj, num_nodes: int, num_graphs: int) -> LabelSet | None:
     if obj is None:
         return None
@@ -284,20 +291,23 @@ def _parse_labels(obj, num_nodes: int, num_graphs: int) -> LabelSet | None:
             raise GraphFormatError("malformed node labels")
         mapping = {}
         for key, value in classes.items():
-            node = int(key)
+            node = _integer(key, "a node_classes key")
             if not 0 <= node < num_nodes:
                 raise GraphFormatError(f"labelled node index out of range: {node}")
-            mapping[node] = int(value)
-        return LabelSet("node", int(obj["num_classes"]), node_classes=mapping)
-    gc = np.asarray(obj["graph_classes"], dtype=np.int64)
+            mapping[node] = _integer(value, f"node_classes[{key!r}]")
+        return LabelSet("node", _integer(obj["num_classes"], "num_classes"), node_classes=mapping)
+    try:
+        gc = np.asarray(obj["graph_classes"], dtype=np.int64)
+    except (TypeError, ValueError):
+        raise GraphFormatError("graph_classes must be an integer matrix") from None
     if gc.ndim != 2 or gc.shape[0] != num_graphs:
         raise GraphFormatError("graph_classes must carry one row per graph")
     weights = obj.get("class_weights")
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
     return LabelSet(
         "graph",
-        int(obj["num_classes"]),
-        num_tasks=int(obj["num_tasks"]),
+        _integer(obj["num_classes"], "num_classes"),
+        num_tasks=_integer(obj["num_tasks"], "num_tasks"),
         graph_classes=_frozen(gc),
         class_weights=None if w is None else _frozen(w),
     )
@@ -311,7 +321,9 @@ def _parse_split(obj, labels: LabelSet | None) -> Split | None:
     parts = []
     for name in ("train", "validation", "test"):
         raw = obj.get(name, [])
-        parts.append(tuple(int(v) for v in raw))
+        if not isinstance(raw, list):
+            raise GraphFormatError(f"split {name!r} must be a list of ids")
+        parts.append(tuple(_integer(v, f"an id of split {name!r}") for v in raw))
     split = Split(*parts)
     if labels is not None:
         labelled = set(

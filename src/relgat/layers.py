@@ -23,7 +23,6 @@ from .tensor import (
     Tensor,
     add,
     block_matmul,
-    concat_flat,
     concat_rows,
     gather_rows,
     leaky_relu,
@@ -180,7 +179,7 @@ def attention_coefficients(
     for part, (t, _) in zip(logits, edges):
         if part.ndim != 1 or part.size != len(t):
             raise ValueError("logit vectors must align with the edge lists")
-    flat = logits[0] if len(logits) == 1 else concat_flat(list(logits))
+    flat = logits[0] if len(logits) == 1 else concat_rows(list(logits))
     return AttentionResult(_normalize(flat, segments, 1), segments)
 
 
@@ -362,7 +361,7 @@ class RgatLayer:
         messages = reshape(scale_rows(values, alpha), (tgt.size, heads * fp))
         out = segment_reduce(messages, tgt, num_nodes, "sum")
         if self.use_bias:
-            out = add(out, concat_flat([leaves[f"{self.name}.bias.k{k}"] for k in range(heads)]))
+            out = add(out, concat_rows([leaves[f"{self.name}.bias.k{k}"] for k in range(heads)]))
         if self.head_agg == "mean":
             out = mul(sum_blocks(out, heads), 1.0 / heads)
         return _apply_activation(out, self.activation)

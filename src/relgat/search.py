@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -47,12 +48,22 @@ __all__ = [
 ]
 
 
+def _check_types(prior, kind: type, *fields: str) -> None:
+    # a space file is JSON, so a prior's field can hold any JSON value
+    for name in fields:
+        value = getattr(prior, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"{type(prior).__name__} field {name!r} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Uniform:
     low: float
     high: float
 
     def __post_init__(self):
+        _check_types(self, numbers.Real, "low", "high")
         if not self.low < self.high:
             raise ValueError("need low < high")
 
@@ -72,6 +83,7 @@ class LogUniform:
     high: float
 
     def __post_init__(self):
+        _check_types(self, numbers.Real, "low", "high")
         if not 0 < self.low < self.high:
             raise ValueError("need 0 < low < high")
 
@@ -90,8 +102,6 @@ class OneOf:
     options: tuple
 
     def __init__(self, *options):
-        if len(options) == 1 and isinstance(options[0], (tuple, list)):
-            options = tuple(options[0])
         if not options:
             raise ValueError("need at least one option")
         object.__setattr__(self, "options", tuple(options))
@@ -115,6 +125,7 @@ class MultiplesOf:
     high: int
 
     def __post_init__(self):
+        _check_types(self, numbers.Integral, "step", "low", "high")
         if self.step < 1 or self.low < self.step or self.high < self.low:
             raise ValueError("need step >= 1 and step <= low <= high")
         if self.low % self.step or self.high % self.step:
@@ -145,6 +156,8 @@ def _prior_from_dict(d: dict):
     if kind == "log_uniform":
         return LogUniform(d["low"], d["high"])
     if kind == "one_of":
+        if not isinstance(d["options"], list):
+            raise ValueError(f"one_of field 'options' must be a list, got {d['options']!r}")
         return OneOf(*[tuple(o) if isinstance(o, list) else o for o in d["options"]])
     if kind == "multiples_of":
         return MultiplesOf(d["step"], d["low"], d["high"])

@@ -31,7 +31,6 @@ __all__ = [
     "add",
     "block_matmul",
     "concat_cols",
-    "concat_flat",
     "concat_rows",
     "gather_rows",
     "grad_check",
@@ -84,15 +83,6 @@ class Tensor:
         return f"Tensor(id={self.id}, shape={self.shape})"
 
 
-class _Node:
-    __slots__ = ("out_id", "backward", "kink_gap")
-
-    def __init__(self, out_id: int, backward: Callable, kink_gap: float):
-        self.out_id = out_id
-        self.backward = backward
-        self.kink_gap = kink_gap
-
-
 class GradientMap:
     """Gradients of one scalar loss with respect to every tape leaf."""
 
@@ -112,6 +102,8 @@ class Tape:
     Tensor ids increase strictly in creation order; ``backward`` visits the
     recorded ops exactly once, in reverse recording order, and returns the
     gradient for every leaf (zeros for leaves the loss never touched).
+    Each op is kept as an (output id, backward) pair, and the smallest kink
+    gap of any op as a running minimum.
 
     With differentiable=False the tape serves forwards that are only
     scored: leaves are read-only views of the given arrays, nothing is
@@ -122,9 +114,10 @@ class Tape:
 
     def __init__(self, *, differentiable: bool = True):
         self.differentiable = differentiable
-        self._ops: list[_Node] = []
+        self._ops: list[tuple[int, Callable]] = []
         self._leaves: list[tuple[int, tuple[int, ...]]] = []
         self._count = 0
+        self._kink_gap = np.inf
 
     def _next_id(self) -> int:
         i = self._count
@@ -150,14 +143,13 @@ class Tape:
     def record(self, out: np.ndarray, backward: Callable, kink_gap: float = np.inf) -> Tensor:
         t = Tensor(self, self._next_id(), _frozen(np.asarray(out, dtype=np.float64), "op result"))
         if self.differentiable:
-            self._ops.append(_Node(t.id, backward, float(kink_gap)))
+            self._ops.append((t.id, backward))
+            self._kink_gap = min(self._kink_gap, float(kink_gap))
         return t
 
     def min_kink_gap(self) -> float:
         """Smallest distance of any recorded pre-activation from a kink."""
-        if not self._ops:
-            return np.inf
-        return min(node.kink_gap for node in self._ops)
+        return self._kink_gap
 
     def backward(self, loss: Tensor) -> GradientMap:
         if not self.differentiable:
@@ -170,9 +162,9 @@ class Tape:
         # an op's output gradient is complete once its backward runs, since
         # every consumer was recorded later; drop it there so intermediate
         # gradients do not pile up until the walk ends
-        for node in reversed(self._ops):
-            if node.out_id in grads:
-                node.backward(grads.pop(node.out_id), grads)
+        for out_id, backward in reversed(self._ops):
+            if out_id in grads:
+                backward(grads.pop(out_id), grads)
         out: dict[int, np.ndarray] = {}
         for leaf_id, shape in self._leaves:
             g = grads.get(leaf_id)
@@ -214,13 +206,14 @@ def _index_array(indices, bound: int, name: str) -> np.ndarray:
     return idx
 
 
-def _segment_ids(segments, num_segments: int, rows: int) -> np.ndarray:
+def _segment_ids(segments, num_segments: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    # the one id check and the one count of every segment op
     if num_segments < 0:
         raise ValueError("num_segments must be non-negative")
     segs = _index_array(segments, max(num_segments, 1), "segment ids")
     if segs.size != rows:
         raise ValueError(f"segment ids cover {segs.size} rows, values have {rows}")
-    return segs
+    return segs, np.bincount(segs, minlength=num_segments)
 
 
 def _sort_by_segment_and_value(data: np.ndarray, segments: np.ndarray, counts: np.ndarray):
@@ -258,13 +251,9 @@ def _sorted_sums(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) ->
     return out
 
 
-def _ordered_segment_sum(values: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    # Accumulates each segment in value-sorted order so the result does not
-    # depend on how the rows happen to be listed.
-    data = values[:, None] if values.ndim == 1 else values
-    counts = np.bincount(segments, minlength=num_segments)
-    out = _sorted_sums(*_sort_by_segment_and_value(data, segments, counts), counts)
-    return out[:, 0] if values.ndim == 1 else out
+def _segment_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # (segments, cols) sums of a (rows, cols) matrix in value-sorted order
+    return _sorted_sums(*_sort_by_segment_and_value(data, segments, counts), counts)
 
 
 def _sorted_max(data, segments, counts, ordered, starts, differentiable: bool):
@@ -540,24 +529,15 @@ def _split_backward(parts: Sequence[Tensor], sizes: list[int], axis: int) -> Cal
     return backward
 
 
-def concat_flat(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    tape = _check_tape(*parts)
-    if any(p.ndim != 1 for p in parts):
-        raise ValueError("concat_flat expects flat tensors")
-    out = np.concatenate([p.data for p in parts])
-    return tape.record(out, _split_backward(parts, [p.size for p in parts], 0))
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Joins flat tensors end to end, or stacks matrices with equal column
+    counts row-wise."""
     if not parts:
         raise ValueError("nothing to concatenate")
     tape = _check_tape(*parts)
-    cols = {p.shape[1] for p in parts if p.ndim == 2}
-    if any(p.ndim != 2 for p in parts) or len(cols) != 1:
-        raise ValueError("concat_rows expects matrices with equal column counts")
-    out = np.concatenate([p.data for p in parts], axis=0)
+    if any(p.ndim not in (1, 2) for p in parts) or len({p.shape[1:] for p in parts}) != 1:
+        raise ValueError("concat_rows expects flat tensors, or matrices with equal column counts")
+    out = np.concatenate([p.data for p in parts])
     return tape.record(out, _split_backward(parts, [p.shape[0] for p in parts], 0))
 
 
@@ -638,52 +618,42 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
     """Per-segment sum, mean or max over rows. Empty segments yield zero rows.
 
     Sums accumulate each segment in value-sorted order, so the result is
-    bitwise independent of the order the rows are listed in.
+    bitwise independent of the order the rows are listed in. The max's
+    gradient goes to the first row holding each segment's max.
     """
     if mode not in ("sum", "mean", "max"):
         raise ValueError(f"unknown reduce mode {mode!r}")
     if values.ndim not in (1, 2):
         raise ValueError(f"segment_reduce expects flat or matrix input, got {values.shape}")
-    rows = values.shape[0]
-    segs = _segment_ids(segments, num_segments, rows)
     flat_in = values.ndim == 1
     data = values.data[:, None] if flat_in else values.data
-    cols = data.shape[1]
+    rows, cols = data.shape
+    segs, counts = _segment_ids(segments, num_segments, rows)
     values_id = values.id
-    counts = np.bincount(segs, minlength=num_segments)
-
-    if mode in ("sum", "mean"):
-        out = _ordered_segment_sum(data, segs, num_segments)
+    ordered, starts = _sort_by_segment_and_value(data, segs, counts)
+    gap, winners = np.inf, None
+    if mode == "max":
+        out, gap, winners = _sorted_max(data, segs, counts, ordered, starts, values.tape.differentiable)
+    else:
+        out = _sorted_sums(ordered, starts, counts)
         if mode == "mean":
             out = out / np.maximum(counts, 1)[:, None]
 
-        def backward(g, grads):
-            g2 = np.asarray(g)
-            if flat_in:
-                g2 = g2[:, None]
+    # captures shapes, ids and segment arrays, never data: the input can be
+    # the largest matrix of a forward
+    def backward(g, grads):
+        g2 = g[:, None] if flat_in else g
+        if mode == "max":
+            win_segs, win_cols, win_rows = winners
+            pulled = np.zeros((rows, cols))
+            pulled[win_rows, win_cols] = g2[win_segs, win_cols]
+        else:
             pulled = g2[segs]
             if mode == "mean":
                 pulled = pulled / np.maximum(counts, 1)[segs, None]
-            _acc(grads, values_id, pulled[:, 0] if flat_in else pulled)
+        _acc(grads, values_id, pulled[:, 0] if flat_in else pulled)
 
-        out_final = out[:, 0] if flat_in else out
-        return values.tape.record(out_final, backward)
-
-    # max: gradient routes to the first maximal row entry of each segment
-    ordered, starts = _sort_by_segment_and_value(data, segs, counts)
-    out, gap, winners = _sorted_max(data, segs, counts, ordered, starts, values.tape.differentiable)
-
-    def backward(g, grads):
-        g2 = np.asarray(g)
-        if flat_in:
-            g2 = g2[:, None]
-        win_segs, win_cols, win_rows = winners
-        buf = np.zeros((rows, cols))
-        buf[win_rows, win_cols] = g2[win_segs, win_cols]
-        _acc(grads, values_id, buf[:, 0] if flat_in else buf)
-
-    out_final = out[:, 0] if flat_in else out
-    return values.tape.record(out_final, backward, kink_gap=gap)
+    return values.tape.record(out[:, 0] if flat_in else out, backward, kink_gap=gap)
 
 
 def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
@@ -697,9 +667,8 @@ def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
     if values.ndim != 2:
         raise ValueError(f"segment_mean_max expects a matrix, got shape {values.shape}")
     rows, cols = values.shape
-    segs = _segment_ids(segments, num_segments, rows)
+    segs, counts = _segment_ids(segments, num_segments, rows)
     data, values_id = values.data, values.id
-    counts = np.bincount(segs, minlength=num_segments)
     ordered, starts = _sort_by_segment_and_value(data, segs, counts)
     divisor = np.maximum(counts, 1)
     mean = _sorted_sums(ordered, starts, counts) / divisor[:, None]
@@ -726,28 +695,19 @@ def segment_softmax(logits: Tensor, segments) -> Tensor:
     """
     if logits.ndim != 1:
         raise ValueError(f"segment_softmax expects a flat tensor, got {logits.shape}")
-    segs = np.asarray(segments, dtype=np.int64)
-    if segs.ndim != 1 or segs.size != logits.size:
-        raise ValueError("segment ids must align with the logits")
-    if segs.size and segs.min() < 0:
-        raise ValueError("segment ids must be non-negative")
-    logits_id = logits.id
-    n = int(segs.max()) + 1 if segs.size else 0
-    x = logits.data
-    if x.size:
-        mx = np.full(n, -np.inf)
-        np.maximum.at(mx, segs, x)
-        e = np.exp(x - mx[segs])
-        denom = _ordered_segment_sum(e, segs, n)
-        y = e / denom[segs]
-    else:
-        y = np.zeros(0)
+    ids = np.asarray(segments, dtype=np.int64)
+    n = int(ids.max(initial=-1)) + 1
+    segs, counts = _segment_ids(ids, n, logits.size)
+    logits_id, x = logits.id, logits.data
+    mx = np.full(n, -np.inf)
+    np.maximum.at(mx, segs, x)
+    e = np.exp(x - mx[segs])
+    y = e / _segment_sums(e[:, None], segs, counts)[:, 0][segs]
 
     def backward(g, grads):
-        if y.size == 0:
-            _acc(grads, logits_id, np.zeros(0))
-            return
-        s = _ordered_segment_sum(y * g, segs, n)
+        # recounted rather than kept from the forward: with many empty
+        # supports the counts outsize the ids
+        s = _segment_sums((y * g)[:, None], *_segment_ids(segs, n, y.size))[:, 0]
         _acc(grads, logits_id, y * (g - s[segs]))
 
     return logits.tape.record(y, backward)

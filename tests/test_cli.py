@@ -338,9 +338,35 @@ def test_train_rejects_a_labels_block_without_a_field(tmp_path, capsys, kind, fi
 
 
 @pytest.mark.parametrize(
+    "block,field,value,message",
+    [
+        ("labels", "num_classes", None, "num_classes must be an integer"),
+        ("splits", "train", [[0]], "split 'train' must be an integer"),
+        ("labels", "graph_classes", None, "graph_classes must be an integer matrix"),
+        ("labels", "class_weights", [[1.0, None]], "class_weights must be finite"),
+    ],
+    ids=["num-classes-null", "split-id-not-an-integer", "graph-classes-null", "class-weight-null"],
+)
+def test_train_rejects_a_field_of_the_wrong_type(tmp_path, capsys, block, field, value, message):
+    doc = json.loads(_gen(tmp_path).read_text())
+    doc[block][field] = value
+    data = tmp_path / "mistyped.json"
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "space,message",
-    [({"heads": {"kind": "one_of"}}, "'options'"), (["x"], "maps names to prior objects")],
-    ids=["prior-without-options", "not-an-object"],
+    [
+        ({"heads": {"kind": "one_of"}}, "'options'"),
+        (["x"], "maps names to prior objects"),
+        ({"heads": {"kind": "one_of", "options": 5}}, "'options' must be a list"),
+        ({"edge_dropout": {"kind": "uniform", "low": "a", "high": 1}}, "'low' must be a number"),
+    ],
+    ids=["prior-without-options", "not-an-object", "options-not-a-list", "bound-not-a-number"],
 )
 def test_sweep_rejects_a_malformed_space_file(tmp_path, capsys, space, message):
     data = _gen(tmp_path)

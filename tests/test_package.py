@@ -1,7 +1,11 @@
-"""The package's public names: every name a module exports resolves."""
+"""The package's public names: every name a module exports resolves, and
+the sources import nothing beyond the standard library and numpy."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,24 @@ def test_every_exported_name_resolves(module):
     assert mod.__all__
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+SOURCES = sorted(Path(relgat.__file__).parent.glob("*.py"))
+
+
+def _imported_packages(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_sources_import_only_the_standard_library_numpy_and_relgat(path):
+    # pyproject.toml declares numpy alone; scipy may be installed, but an
+    # import of it would break every install that lacks it
+    allowed = sys.stdlib_module_names | {"numpy", "relgat"}
+    assert sorted(set(_imported_packages(path)) - allowed) == []
 
 
 def test_feature_mask_stays_a_training_function():

@@ -93,6 +93,19 @@ def test_space_round_trip(tmp_path):
         assert back[name].to_dict() == space[name].to_dict()
 
 
+def test_a_one_of_prior_whose_only_option_is_a_list_round_trips(tmp_path):
+    doc = {"pair": {"kind": "one_of", "options": [[1, 2]]}}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    space = load_space(path)
+    # one option, the pair, and never the values 1 and 2 on their own
+    assert space["pair"].options == ((1, 2),)
+    assert space["pair"].sample(RNG(0)) == (1, 2)
+    save_space(space, path)
+    assert json.loads(path.read_text()) == doc
+    assert load_space(path) == space
+
+
 def test_legacy_prior_kind_names_load(tmp_path):
     doc = {
         "hidden_units": {"kind": "multiples_of_four", "low": 4, "high": 20},

@@ -1,6 +1,7 @@
 """Tape autodiff: frozen forward values, hand-derived gradients, and the
 structural guarantees (id ordering, single-visit backward, finite checks)."""
 
+import gc
 import tracemalloc
 import weakref
 
@@ -15,7 +16,6 @@ from relgat.tensor import (
     add,
     block_matmul,
     concat_cols,
-    concat_flat,
     concat_rows,
     gather_rows,
     grad_check,
@@ -170,7 +170,7 @@ def test_concat_flat_backward_splits():
     tape = Tape()
     a = tape.leaf([1.0, 2.0])
     b = tape.leaf([3.0])
-    out = concat_flat([a, b])
+    out = concat_rows([a, b])
     assert np.array_equal(out.data, [1.0, 2.0, 3.0])
     grads = tape.backward(sum_all(mul(out, np.array([1.0, 10.0, 100.0]))))
     assert np.array_equal(grads[a], [1.0, 10.0])
@@ -661,6 +661,54 @@ def test_backward_frees_each_op_gradient_once_used():
     # every intermediate gradient would need about 30 arrays
     assert peak < 5 * x.data.nbytes
     assert grads[x].shape == (500, 200)
+
+
+_SEGMENT_IDS = [0, 2, 2, 0, 2]
+_SEGMENT_OPS = {
+    **{
+        f"reduce-{mode}-{form}": (lambda v, mode=mode: segment_reduce(v, _SEGMENT_IDS, 3, mode), form)
+        for mode in ("sum", "mean", "max")
+        for form in ("flat", "matrix")
+    },
+    "mean-max": (lambda v: segment_mean_max(v, _SEGMENT_IDS, 3), "matrix"),
+    "softmax": (lambda v: segment_softmax(v, _SEGMENT_IDS), "flat"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEGMENT_OPS))
+def test_segment_ops_do_not_keep_their_input_alive(case):
+    # a backward that held its input would keep a layer's message matrix
+    # alive until the backward walk reaches it
+    op, form = _SEGMENT_OPS[case]
+    values = np.random.default_rng(0).normal(size=(5, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.leaf(values[:, 0] if form == "flat" else values)
+        data = weakref.ref(x.data)
+        out = op(x)
+        del x
+        assert data() is None
+        # the recorded backward still runs without it
+        tape.backward(sum_squares(out))
+    finally:
+        gc.enable()
+
+
+def test_concat_rows_rejects_a_mix_of_flat_and_matrix_parts():
+    tape = Tape()
+    flat, matrix = tape.leaf([1.0, 2.0]), tape.leaf([[3.0, 4.0]])
+    for parts in ([flat, matrix], [matrix, flat], [tape.leaf(1.0), tape.leaf(2.0)]):
+        with pytest.raises(ValueError, match="concat_rows expects"):
+            concat_rows(parts)
+
+
+def test_segment_softmax_rejects_negative_or_misaligned_ids():
+    logits = Tape().leaf([0.1, 0.2, 0.3])
+    for ids in ([0, -1, 1], [-1, -1, -1], [0, 1], [0, 1, 1, 1], [[0, 1, 1]]):
+        with pytest.raises(ValueError, match="segment ids"):
+            segment_softmax(logits, ids)
 
 
 # (x shape, w shape, blocks, shared, kernel rows)
