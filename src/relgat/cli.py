@@ -3,7 +3,8 @@
 Subcommands: gen (synthetic benchmark corpus), train, eval, sweep, stats.
 Every artifact embeds the tool version, a hash of the exact configuration,
 and the seed, so runs can be traced back to their inputs. Exit codes: 0 on
-success, 1 when training diverges, 2 on bad input.
+success, 1 when training diverges or an evaluation overflows (a forward
+meets a non-finite value), 2 on bad input.
 """
 
 from __future__ import annotations
@@ -367,7 +368,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except (DivergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (GraphFormatError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:

@@ -162,6 +162,10 @@ def _masked(h: Tensor, dropout) -> Tensor:
     return h if mask is None else mul(h, mask)
 
 
+# the L2 weight groups, in the order their penalties are added
+L2_GROUPS = ("layer1_w", "layer1_a", "layer2_w", "layer2_a")
+
+
 class _TwoLayerModel:
     """What both classifiers share: a concatenating relu attention layer,
     then a second layer with the head's aggregation and activation, run as
@@ -198,12 +202,13 @@ class _TwoLayerModel:
         return self.layer2.forward(leaves, edges, num_nodes, _masked(h, dropout), constant=constant)
 
     def l2_groups(self) -> dict[str, list[str]]:
-        return {
-            "layer1_w": self.layer1.w_parameter_names(),
-            "layer1_a": self.layer1.a_parameter_names(),
-            "layer2_w": self.layer2.w_parameter_names(),
-            "layer2_a": self.layer2.a_parameter_names(),
-        }
+        kernels = (
+            self.layer1.w_parameter_names(),
+            self.layer1.a_parameter_names(),
+            self.layer2.w_parameter_names(),
+            self.layer2.a_parameter_names(),
+        )
+        return dict(zip(L2_GROUPS, kernels, strict=True))
 
 
 # ---------------------------------------------------------------------------

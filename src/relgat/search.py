@@ -23,6 +23,7 @@ import numpy as np
 
 from .graph import GraphTask, NodeTask, Split
 from .models import (
+    L2_GROUPS,
     GraphClassifier,
     GraphClassifierConfig,
     NodeClassifier,
@@ -228,13 +229,14 @@ def trial_seeds(master_seed: int, trial_id: int) -> tuple[int, int, int]:
 
 def _l2_from_config(config: dict) -> dict[str, float]:
     """L2 weight per kernel group: l2_<group>, else the all-group l2;
-    groups left unset or at weights <= 0 are left out."""
+    groups left unset or at weights <= 0 are left out. A NaN weight is
+    kept, for TrainConfig to refuse."""
     out = {}
-    for group in ("layer1_w", "layer1_a", "layer2_w", "layer2_a"):
+    for group in L2_GROUPS:
         value = config.get(f"l2_{group}")
         if value is None:
             value = config.get("l2")
-        if value is not None and value > 0:
+        if value is not None and not value <= 0:
             out[group] = float(value)
     return out
 

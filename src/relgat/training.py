@@ -23,7 +23,7 @@ from .models import (
     weighted_cross_entropy,
 )
 from .stats import midranks
-from .tensor import Tape, Tensor, add, mul, sum_squares
+from .tensor import Tape, Tensor
 
 __all__ = [
     "AdamState",
@@ -60,8 +60,11 @@ class TrainConfig:
             raise ValueError("dropout rates must lie in [0, 1)")
         if self.epochs < 1 or self.patience < 1 or self.batch_size < 1:
             raise ValueError("epochs, patience and batch size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for group, c in self.l2.items():
+            if not math.isfinite(c):
+                raise ValueError(f"l2 weight {group} must be finite, got {c}")
 
 
 @dataclass
@@ -320,26 +323,25 @@ def _resolve_weights(model: GraphClassifier, task: GraphTask) -> np.ndarray:
     return inverse_frequency_weights(train_labels, model.config.num_classes)
 
 
-def _l2_penalty(loss: Tensor, leaves, groups: dict[str, list[str]], coefs: dict[str, float]) -> Tensor:
-    for group, names in groups.items():
-        c = coefs.get(group, 0.0)
-        if c <= 0.0:
-            continue
-        for name in names:
-            loss = add(loss, mul(sum_squares(leaves[name]), c))
-    return loss
-
-
 def _step(fit, params, state: AdamState, part, rng, config: TrainConfig) -> float:
-    """The loss builder: a dropout forward over one part, its criterion plus
-    the L2 penalty, then backward and one Adam step. Returns the loss."""
+    """One Adam step on a dropout forward's criterion plus the L2 penalty
+    c*||p||^2, whose gradient 2c*p is added off the tape. Returns the loss."""
     tape = Tape()
     leaves = bind_params(tape, params)
-    probs = fit.forward(tape, leaves, part, rng=rng, config=config)
-    loss = _l2_penalty(fit.criterion(probs, part), leaves, fit.model.l2_groups(), config.l2)
-    grad_map = tape.backward(loss)
-    adam_step(params, {k: grad_map[leaves[k]] for k in params}, state, config.learning_rate)
-    return float(loss.data)
+    criterion = fit.criterion(fit.forward(tape, leaves, part, rng=rng, config=config), part)
+    grad_map = tape.backward(criterion)
+    grads = {k: grad_map[leaves[k]] for k in params}
+    loss = criterion.data
+    for group, names in fit.model.l2_groups().items():
+        c = config.l2.get(group, 0.0)
+        for name in names if c > 0.0 else ():  # a weight <= 0 adds nothing
+            p = params[name]
+            loss = loss + (p * p).sum() * c
+            grads[name] = 2.0 * c * p + grads[name]
+    if not np.isfinite(loss):
+        raise OverflowError("non-finite loss after the L2 penalty")
+    adam_step(params, grads, state, config.learning_rate)
+    return float(loss)
 
 
 def _clean_forward(fit, params, part, constant: bool) -> Tensor:
@@ -392,9 +394,9 @@ def train(model, task, config: TrainConfig) -> TrainResult:
     for epoch in range(config.epochs):
         try:
             train_loss = fit.step(params, state, rng, config, parts[0])
+            train_metrics, *val = fit.score(params, parts)
         except OverflowError as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
-        train_metrics, *val = fit.score(params, parts)
         record = {
             "epoch": epoch,
             "train_loss": train_loss,

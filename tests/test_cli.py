@@ -359,6 +359,60 @@ def test_train_rejects_a_field_of_the_wrong_type(tmp_path, capsys, block, field,
 
 
 @pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--lr", "nan"], "learning_rate"),
+        (["--lr", "inf"], "learning_rate"),
+        (["--l2", "inf"], "layer1_w"),
+        (["--l2", "nan"], "layer1_w"),
+        (["--l2-layer2-a", "nan"], "layer2_a"),
+    ],
+    ids=["lr-nan", "lr-inf", "l2-inf", "l2-nan", "l2-layer2-a-nan"],
+)
+def test_train_rejects_a_non_finite_rate_or_l2_weight(tmp_path, capsys, flags, field):
+    data = _gen(tmp_path)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _with_huge_validation_features(tmp_path, data):
+    # finite features, so parsing accepts them, whose multiplicative
+    # attention logits overflow
+    doc = json.loads(data.read_text())
+    graph = doc["graphs"][doc["splits"]["validation"][0]]
+    graph["features"] = [[x * 1e300 for x in row] for row in graph["features"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_train_reports_an_overflow_in_epoch_scoring_as_divergence(tmp_path, capsys):
+    data = _with_huge_validation_features(tmp_path, _gen(tmp_path))
+    capsys.readouterr()
+    args = ["train", "--data", str(data), "--out", str(tmp_path / "o")]
+    assert main(args + ["--logit-mode", "multiplicative", "--epochs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "error: training diverged at epoch 0" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_eval_reports_an_overflow_as_an_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    out = _train(tmp_path, data, "run", extra=["--logit-mode", "multiplicative"])
+    huge = _with_huge_validation_features(tmp_path, data)
+    capsys.readouterr()
+    args = ["eval", "--data", str(huge), "--checkpoint", str(out), "--split", "validation"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "space,message",
     [
         ({"heads": {"kind": "one_of"}}, "'options'"),

@@ -42,11 +42,6 @@ def test_sources_import_only_the_standard_library_numpy_and_relgat(path):
     assert sorted(set(_imported_packages(path)) - allowed) == []
 
 
-def test_feature_mask_stays_a_training_function():
-    # the benchmark's span tracer wraps relgat.training.feature_mask by name
-    assert callable(relgat.training.feature_mask)
-
-
 @pytest.mark.parametrize(
     "path",
     [
@@ -57,6 +52,29 @@ def test_feature_mask_stays_a_training_function():
         "relgat.models.graph_gather",
         "relgat.tensor.Tape.num_recorded",
         "relgat.serialize_dataset",
+        # every function and method the span tracer wraps
+        "relgat.graph.batch_graphs",
+        "relgat.graph.parse_dataset",
+        "relgat.layers.attention_logits",
+        "relgat.layers.attention_coefficients",
+        "relgat.tensor.segment_reduce",
+        "relgat.tensor.segment_softmax",
+        "relgat.tensor.gather_rows",
+        "relgat.tensor.matmul",
+        "relgat.models.masked_cross_entropy",
+        "relgat.models.weighted_cross_entropy",
+        "relgat.models.save_checkpoint",
+        "relgat.models.load_checkpoint",
+        "relgat.training.train",
+        "relgat.training.evaluate",
+        "relgat.training.adam_step",
+        "relgat.training.drop_edges",
+        "relgat.training.feature_mask",
+        "relgat.search.run_sweep",
+        "relgat.layers.RgatLayer.forward",
+        "relgat.models.NodeClassifier.forward",
+        "relgat.models.GraphClassifier.forward",
+        "relgat.tensor.Tape.backward",
     ],
 )
 def test_names_the_benchmark_reaches_by_path_exist(path):

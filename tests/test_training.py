@@ -21,6 +21,7 @@ from relgat.graph import (
     with_self_relation,
 )
 from relgat.models import (
+    L2_GROUPS,
     GraphClassifier,
     GraphClassifierConfig,
     NodeClassifier,
@@ -45,7 +46,7 @@ from relgat.training import (
 RNG = np.random.default_rng
 
 
-def _node_task(n=12, seed=0, hidden=8):
+def _node_task(n=12, seed=0, hidden=8, **model_kwargs):
     rng = RNG(seed)
     classes = {i: i % 2 for i in range(n)}
     feats = np.zeros((n, 2))
@@ -63,10 +64,15 @@ def _node_task(n=12, seed=0, hidden=8):
     model = NodeClassifier(
         rng,
         NodeClassifierConfig(
-            in_dim=2, num_relations=2, num_classes=2, hidden_units=hidden
+            in_dim=2, num_relations=2, num_classes=2, hidden_units=hidden, **model_kwargs
         ),
     )
     return model, task
+
+
+# per-(relation, head) slot kernels, and one shared basis per kernel kind
+KERNELS = {"per-slot": {}, "basis": {"basis_w": 1, "basis_a": 1}}
+ALL_L2_GROUPS = dict.fromkeys(L2_GROUPS, 1e-2)
 
 
 def _graph_task(n_graphs=16, seed=0):
@@ -257,19 +263,83 @@ def test_divergence_raises():
         train(model, task, TrainConfig(epochs=3, patience=3, seed=0))
 
 
-def test_l2_penalty_enters_loss_exactly():
+@pytest.mark.parametrize("kernels", list(KERNELS))
+def test_l2_penalty_enters_loss_exactly(kernels):
     cfg_plain = TrainConfig(epochs=1, patience=1, seed=0)
     cfg_l2 = TrainConfig(epochs=1, patience=1, seed=0, l2={"layer1_w": 0.5})
-    model1, task = _node_task()
+    model1, task = _node_task(**KERNELS[kernels])
     init = {k: v.copy() for k, v in model1.params.items()}
     r_plain = train(model1, task, cfg_plain)
-    model2, _ = _node_task()
+    model2, _ = _node_task(**KERNELS[kernels])
     r_l2 = train(model2, task, cfg_l2)
     penalty = 0.5 * sum(
         float((init[name] ** 2).sum()) for name in model2.l2_groups()["layer1_w"]
     )
     diff = r_l2.history[0]["train_loss"] - r_plain.history[0]["train_loss"]
     assert diff == pytest.approx(penalty, rel=1e-12)
+
+
+@pytest.mark.parametrize("kernels", list(KERNELS))
+def test_l2_penalty_records_no_tape_op(kernels, monkeypatch):
+    recorded = []
+
+    class CountingTape(Tape):
+        def backward(self, loss):
+            recorded.append(self.num_recorded)
+            return super().backward(loss)
+
+    monkeypatch.setattr(training, "Tape", CountingTape)
+    for l2 in ({}, ALL_L2_GROUPS):
+        model, task = _node_task(**KERNELS[kernels])
+        train(model, task, TrainConfig(epochs=1, patience=1, seed=0, l2=l2))
+    assert len(recorded) == 2
+    assert recorded[0] == recorded[1]
+
+
+@pytest.mark.parametrize("kernels", list(KERNELS))
+def test_l2_penalty_gradient_is_two_c_p(kernels):
+    # one plain Adam step from the same start, fed the criterion gradient
+    # plus 2*c*p, gives the penalized run's parameters
+    model, task = _node_task(**KERNELS[kernels])
+    init = {k: v.copy() for k, v in model.params.items()}
+    cfg = TrainConfig(epochs=1, patience=1, seed=0, l2=ALL_L2_GROUPS)
+    fit = training._fit(model, task)
+    part = fit.part("train")
+    tape = Tape()
+    leaves = bind_params(tape, init)
+    grad_map = tape.backward(fit.criterion(fit.forward(tape, leaves, part), part))
+    grads = {k: grad_map[leaves[k]] for k in init}
+    for group, names in model.l2_groups().items():
+        for name in names:
+            grads[name] = 2.0 * ALL_L2_GROUPS[group] * init[name] + grads[name]
+    expected = {k: v.copy() for k, v in init.items()}
+    adam_step(expected, grads, AdamState(expected), cfg.learning_rate)
+    params = {k: v.copy() for k, v in init.items()}
+    training._step(fit, params, AdamState(params), part, None, cfg)
+    for k in init:
+        assert np.array_equal(params[k], expected[k]), k
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_a_finite_forward_with_an_overflowing_l2_penalty_diverges():
+    # the loss's own finite check raises inside the epoch, before Adam could
+    # refuse the non-finite gradient 2c*p without naming the epoch
+    model, task = _node_task()
+    with pytest.raises(DivergenceError, match="epoch 0"):
+        train(model, task, TrainConfig(epochs=2, patience=2, l2={"layer1_w": 1e308}))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_an_overflow_in_the_epochs_scoring_forward_diverges():
+    # the validation graph's features are finite, so batching accepts them,
+    # but its multiplicative logits overflow; no training batch holds it
+    model, task = _graph_task()
+    graphs = list(task.graphs)
+    v = task.split.validation[0]
+    graphs[v] = dataclasses.replace(graphs[v], features=graphs[v].features * 1e300)
+    task = GraphTask(tuple(graphs), task.labels, task.split)
+    with pytest.raises(DivergenceError, match="training diverged at epoch 0"):
+        train(model, task, TrainConfig(epochs=2, patience=2))
 
 
 def test_graph_training_runs_minibatched_and_deterministic():
@@ -481,6 +551,31 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"l2": {"layer2_a": float("inf")}}, "layer2_a"),
+        ({"l2": {"layer1_w": float("nan")}}, "layer1_w"),
+    ],
+    ids=["lr-nan", "lr-inf", "l2-inf", "l2-nan"],
+)
+def test_train_config_refuses_a_non_finite_rate_or_weight(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_keeps_weights_at_or_below_zero():
+    # a weight <= 0 is allowed and puts no penalty on its group
+    model1, task = _node_task()
+    plain = train(model1, task, TrainConfig(epochs=2, patience=2))
+    model2, _ = _node_task()
+    l2 = {"layer1_w": 0.0, "layer2_a": -1.0}
+    zeroed = train(model2, task, TrainConfig(epochs=2, patience=2, l2=l2))
+    assert json.dumps(zeroed.history) == json.dumps(plain.history)
 
 
 def test_model_task_type_mismatch():
