@@ -230,13 +230,19 @@ def trial_seeds(master_seed: int, trial_id: int) -> tuple[int, int, int]:
 def _l2_from_config(config: dict) -> dict[str, float]:
     """L2 weight per kernel group: l2_<group>, else the all-group l2;
     groups left unset or at weights <= 0 are left out. A NaN weight is
-    kept, for TrainConfig to refuse."""
+    kept, for TrainConfig to refuse; a weight that is not a real number
+    raises ValueError."""
     out = {}
     for group in L2_GROUPS:
-        value = config.get(f"l2_{group}")
+        field = f"l2_{group}"
+        value = config.get(field)
         if value is None:
-            value = config.get("l2")
-        if value is not None and not value <= 0:
+            field, value = "l2", config.get("l2")
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"L2 weight {field!r} must be a number, got {value!r}")
+        if not value <= 0:
             out[group] = float(value)
     return out
 

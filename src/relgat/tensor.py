@@ -251,8 +251,76 @@ def _sorted_sums(ordered: np.ndarray, starts: np.ndarray, counts: np.ndarray) ->
     return out
 
 
+# Comparator networks with the fewest comparators for 0 to 8 lanes (Knuth,
+# TAOCP vol. 3, 5.3.4): each pair (i, j) puts the smaller value in lane i,
+# and _NETWORKS[s] sorts s lanes ascending.
+_NETWORKS = (
+    (),
+    (),
+    ((0, 1),),
+    ((0, 2), (0, 1), (1, 2)),
+    ((0, 2), (1, 3), (0, 1), (2, 3), (1, 2)),
+    ((0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)),
+    ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5), (1, 2), (3, 4)),
+    ((0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4), (1, 2), (4, 6), (2, 3),
+     (4, 5), (1, 2), (3, 4), (5, 6)),
+    ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1), (2, 3), (4, 5), (6, 7),
+     (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6)),
+)
+
+# The networks cost about 0.25 ms per call whatever the input, so they run
+# only on wide matrices. Best of 40 calls on a 2-core Intel Xeon (numpy 2.4),
+# supports of 1 to 8 rows, value sort time over network time: 100x104 0.86,
+# 128x104 1.1, 512x16 1.3, 1024x16 1.8, 2048x16 4.3, 2048x104 7.7; one
+# column of 4,096 or 9,720 rows (softmax denominators) 0.5-0.6. The bound
+# keeps the sums of one-graph forwards (at most ~100 rows) on the value sort.
+_NETWORK_MIN_ENTRIES = 1 << 14
+
+
+def _sort_lanes(lanes: list[np.ndarray]) -> None:
+    # Sorts 1 to 8 equal-shape arrays elementwise across the list, in place:
+    # afterwards lanes[0] <= lanes[1] <= ... at every position.
+    spare = np.empty_like(lanes[0])
+    for i, j in _NETWORKS[len(lanes)]:
+        # minimum and maximum each return their second operand on a tie, so
+        # the swapped operands keep one zero of each sign of a (+0.0, -0.0)
+        # pair, and every position keeps its multiset of values
+        np.minimum(lanes[i], lanes[j], out=spare)
+        np.maximum(lanes[j], lanes[i], out=lanes[j])
+        lanes[i], spare = spare, lanes[i]
+
+
+def _network_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # The same (segments, cols) sums as the value-sorted path, bit for bit,
+    # for segments of up to 8 rows: one argsort of the ids, then per size s
+    # gather the segments' rows into s lanes and sort them with a fixed
+    # network, then add them as np.add.reduceat adds a sorted run of up to 8:
+    # a0 + (-0.0 + a1 + ... + a_{s-1}), left to right. A run's sum depends
+    # only on its multiset, so the row order within a segment does not
+    # matter. Longer segments keep the value sort.
+    out = np.zeros((counts.size, data.shape[1]), dtype=data.dtype)
+    order = np.argsort(segments)
+    starts = np.cumsum(counts) - counts
+    for size in range(1, len(_NETWORKS)):
+        which = np.flatnonzero(counts == size)
+        if not which.size:
+            continue
+        lanes = list(data[order[starts[which] + np.arange(size)[:, None]]])
+        _sort_lanes(lanes)
+        out[which] = lanes[0] + sum(lanes[1:], -0.0)
+    long = counts >= len(_NETWORKS)
+    if long.any():
+        rows = long[segments]
+        local_segments = (np.cumsum(long) - 1)[segments[rows]]
+        ordered, runs = _sort_by_segment_and_value(data[rows], local_segments, counts[long])
+        out[long] = _sorted_sums(ordered, runs, counts[long])
+    return out
+
+
 def _segment_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # (segments, cols) sums of a (rows, cols) matrix in value-sorted order
+    if data.shape[1] > 1 and data.size >= _NETWORK_MIN_ENTRIES:
+        return _network_sums(data, segments, counts)
     return _sorted_sums(*_sort_by_segment_and_value(data, segments, counts), counts)
 
 
@@ -630,12 +698,12 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
     rows, cols = data.shape
     segs, counts = _segment_ids(segments, num_segments, rows)
     values_id = values.id
-    ordered, starts = _sort_by_segment_and_value(data, segs, counts)
     gap, winners = np.inf, None
     if mode == "max":
+        ordered, starts = _sort_by_segment_and_value(data, segs, counts)
         out, gap, winners = _sorted_max(data, segs, counts, ordered, starts, values.tape.differentiable)
     else:
-        out = _sorted_sums(ordered, starts, counts)
+        out = _segment_sums(data, segs, counts)
         if mode == "mean":
             out = out / np.maximum(counts, 1)[:, None]
 

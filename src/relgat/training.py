@@ -358,7 +358,8 @@ def evaluate(model, task, split: str = "test", *, constant: bool = False) -> dic
     """Clean-forward metrics on one split. Never mutates model state or
     consumes random numbers."""
     fit = _fit(model, task)
-    return fit.score(model.params, [fit.part(split)], constant)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in train()
+        return fit.score(model.params, [fit.part(split)], constant)[0]
 
 
 def _monitor_value(metrics: dict) -> float:
@@ -393,8 +394,11 @@ def train(model, task, config: TrainConfig) -> TrainResult:
     stopped = False
     for epoch in range(config.epochs):
         try:
-            train_loss = fit.step(params, state, rng, config, parts[0])
-            train_metrics, *val = fit.score(params, parts)
+            # the tape's finite checks raise OverflowError at the op that
+            # overflowed; numpy's warnings would only repeat it on stderr
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_loss = fit.step(params, state, rng, config, parts[0])
+                train_metrics, *val = fit.score(params, parts)
         except OverflowError as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
         record = {

@@ -1,14 +1,18 @@
 """Command line behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relgat.cli import main
 from relgat.models import config_hash
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _gen(tmp_path, name="data.json", seed=3, graphs=16, nodes=8):
@@ -400,6 +404,21 @@ def test_train_reports_an_overflow_in_epoch_scoring_as_divergence(tmp_path, caps
     assert "error: training diverged at epoch 0" in err and "Traceback" not in err
 
 
+def test_an_overflowing_forward_prints_no_numpy_warning(tmp_path):
+    data = _with_huge_validation_features(tmp_path, _gen(tmp_path))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    args = ["train", "--data", str(data), "--out", str(tmp_path / "o"), "--epochs", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "relgat", *args, "--logit-mode", "multiplicative"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: training diverged at epoch 0")
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_eval_reports_an_overflow_as_an_error(tmp_path, capsys):
     data = _gen(tmp_path)
@@ -419,8 +438,17 @@ def test_eval_reports_an_overflow_as_an_error(tmp_path, capsys):
         (["x"], "maps names to prior objects"),
         ({"heads": {"kind": "one_of", "options": 5}}, "'options' must be a list"),
         ({"edge_dropout": {"kind": "uniform", "low": "a", "high": 1}}, "'low' must be a number"),
+        ({"l2": {"kind": "one_of", "options": ["a"]}}, "L2 weight 'l2' must be a number"),
+        ({"l2_layer2_a": {"kind": "one_of", "options": ["1e-3"]}}, "'l2_layer2_a' must be a number"),
     ],
-    ids=["prior-without-options", "not-an-object", "options-not-a-list", "bound-not-a-number"],
+    ids=[
+        "prior-without-options",
+        "not-an-object",
+        "options-not-a-list",
+        "bound-not-a-number",
+        "l2-not-a-number",
+        "group-l2-not-a-number",
+    ],
 )
 def test_sweep_rejects_a_malformed_space_file(tmp_path, capsys, space, message):
     data = _gen(tmp_path)

@@ -2,6 +2,7 @@
 structural guarantees (id ordering, single-visit backward, finite checks)."""
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relgat.tensor
 from relgat.tensor import (
     KinkError,
     Tape,
@@ -37,7 +39,14 @@ from relgat.tensor import (
     sum_squares,
     tanh,
 )
-from relgat.tensor import _sort_by_segment_and_value
+from relgat.tensor import (
+    _NETWORKS,
+    _network_sums,
+    _segment_sums,
+    _sort_by_segment_and_value,
+    _sort_lanes,
+    _sorted_sums,
+)
 
 
 def test_leaf_ids_strictly_increase():
@@ -471,6 +480,75 @@ def test_segment_sort_equals_two_argsort_reference_above_65536_segments(seed, co
     values[rng.random((rows, cols)) < 0.2] = 0.0
     segments = rng.integers(0, num_segments, size=rows)
     _assert_sort_matches_reference(values, segments, num_segments)
+
+
+@pytest.mark.parametrize("size", range(1, len(_NETWORKS)))
+def test_each_sorting_network_sorts_every_zero_one_input(size):
+    # the 0-1 principle: a comparator network that sorts every 0/1 input
+    # sorts every input
+    patterns = np.array(list(itertools.product((0.0, 1.0), repeat=size)))
+    lanes = list(patterns.T.copy())
+    _sort_lanes(lanes)
+    assert np.all(np.diff(np.stack(lanes), axis=0) >= 0)
+    assert np.array_equal(np.sum(lanes, axis=0), patterns.sum(axis=1))
+
+
+@pytest.mark.parametrize("size", range(2, len(_NETWORKS)))
+def test_sorting_networks_keep_the_sign_of_every_zero(size):
+    # min and max of a (+0.0, -0.0) pair may both return -0.0; the network's
+    # compare-exchange keeps one zero of each sign
+    plus, minus = np.array([0.0]), np.array([-0.0])
+    for pair in ([plus.copy(), minus.copy()], [minus.copy(), plus.copy()]):
+        _sort_lanes(pair)
+        assert sorted(np.signbit(np.concatenate(pair)).tolist()) == [False, True]
+    patterns = np.array(list(itertools.product((0.0, -0.0), repeat=size)))
+    lanes = list(patterns.T.copy())
+    _sort_lanes(lanes)
+    assert np.array_equal(np.signbit(lanes).sum(axis=0), np.signbit(patterns).sum(axis=1))
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=14),
+    st.sampled_from([1, 2, 16, 104]),
+    st.sampled_from(["signed-zero-pool", "zeros", "gaussian"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_network_sums_equal_the_value_sorted_sums_bytewise(sizes, cols, kind, seed):
+    # segment sizes 0 to 12: empty segments, the networks' 1 to 8 rows and
+    # the value sort's longer runs
+    rng = np.random.default_rng(seed)
+    segments = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    shape = (segments.size, cols)
+    if kind == "signed-zero-pool":
+        values = rng.choice([-0.0, 0.0, 1.0, -1.0, 1e-16, 3.0], size=shape)
+    elif kind == "zeros":
+        values = np.where(rng.random(shape) < rng.random(), -0.0, 0.0)
+    else:
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+    counts = np.bincount(segments, minlength=len(sizes))
+    want = _sorted_sums(*_sort_by_segment_and_value(values, segments, counts), counts)
+    got = _network_sums(values, segments, counts)
+    assert got.tobytes() == want.tobytes()
+    assert _segment_sums(values, segments, counts).tobytes() == want.tobytes()
+
+
+def test_segment_sums_take_the_networks_only_for_wide_matrices(monkeypatch):
+    # a one-graph forward's sums (at most ~100 rows) and the one-column
+    # softmax sums keep the value sort
+    shapes = []
+
+    def counted(data, segments, counts):
+        shapes.append(data.shape)
+        return _network_sums(data, segments, counts)
+
+    monkeypatch.setattr(relgat.tensor, "_network_sums", counted)
+    rng = np.random.default_rng(0)
+    for rows, cols in ((100, 104), (40_000, 1), (2048, 16)):
+        segments = rng.integers(0, rows // 3, size=rows)
+        tape = Tape(differentiable=False)
+        segment_reduce(tape.leaf(rng.normal(size=(rows, cols))), segments, rows // 3, "sum")
+    assert shapes == [(2048, 16)]
 
 
 @settings(deadline=None, max_examples=60)
