@@ -19,6 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .layers import EdgePlan
+
 __all__ = [
     "BatchedGraph",
     "GraphFormatError",
@@ -82,6 +84,23 @@ class RelGraph:
     @property
     def num_edges(self) -> int:
         return sum(len(t) for t, _ in self.edges)
+
+    def edge_plan(self, norm_kind: str) -> EdgePlan:
+        """The layers' plan of these edges for one normalization kind, built
+        on first use and kept with the graph: the edges are read-only, so it
+        never goes stale. The memo is no field, so ==, repr, replace and
+        serialization ignore it, and pickles and copies leave it out."""
+        plans = self.__dict__.setdefault("_plans", {})
+        plan = plans.get(norm_kind)
+        if plan is None:
+            plan = plans[norm_kind] = EdgePlan(self.edges, self.num_nodes, norm_kind)
+        else:
+            # a later forward over these edges: the plan is kept
+            plan.targets.kept = plan.supports.kept = True
+        return plan
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_plans"}
 
     def edge_triples(self) -> list[tuple[int, int, int]]:
         out = []

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .tensor import (
+    SegmentPlan,
     Tensor,
     add,
     block_matmul,
@@ -41,6 +42,7 @@ from .tensor import (
 __all__ = [
     "ACTIVATIONS",
     "AttentionResult",
+    "EdgePlan",
     "LEAKY_SLOPE",
     "LOGIT_MODES",
     "NORM_KINDS",
@@ -91,15 +93,44 @@ def _support_keys(targets: np.ndarray, relations: np.ndarray, num_nodes: int, ki
     return targets + relations * num_nodes if kind.endswith("wirgat") else targets
 
 
-def _normalize(logits: Tensor | None, keys: np.ndarray, heads: int):
+def _normalize(logits: Tensor | None, support: SegmentPlan, heads: int):
     """Coefficients of every (edge, head), listed edge-major then head: a
-    softmax of the logits within each (support key, head), or without logits
+    softmax of the logits within each (support, head), or without logits
     the constant-attention weight 1 / |support| for every head."""
     if logits is not None:
-        return segment_softmax(logits, (keys[:, None] * heads + np.arange(heads)).ravel())
-    if not keys.size:
-        return np.zeros(0, dtype=np.float64)
-    return np.repeat(1.0 / np.bincount(keys)[keys], heads)
+        return segment_softmax(logits, support)
+    return np.repeat(1.0 / support.counts[support.ids], heads)
+
+
+class EdgePlan:
+    """What a layer forward derives from one edge set alone, for one
+    normalization kind: built once, shared by both layers of a forward and
+    their backwards, and kept by a RelGraph for its own edges.
+
+    Holds the row of every edge's target and source in its relation's slot
+    of head 0 (head k adds k * relations * num_nodes), and the segment plans
+    of the targets and of the softmax supports (``_support_keys``), all
+    listed relation-major. Nothing in it depends on the head count, and it
+    holds integer arrays only.
+    """
+
+    __slots__ = ("num_nodes", "num_relations", "norm_kind", "target_rows", "source_rows", "targets", "supports")
+
+    def __init__(self, edges: Sequence[tuple[np.ndarray, np.ndarray]], num_nodes: int, norm_kind: str):
+        if norm_kind not in COEFFICIENT_KINDS:
+            raise ValueError(f"unknown normalization kind {norm_kind!r}")
+        tgt, src, rel = _edge_arrays(edges)
+        self.num_nodes = num_nodes
+        self.num_relations = len(edges)
+        self.norm_kind = norm_kind.removeprefix("c-")
+        self.targets = SegmentPlan(tgt, num_nodes)
+        keys = _support_keys(tgt, rel, num_nodes, norm_kind)
+        per_target = self.num_relations if self.norm_kind == "wirgat" else 1
+        self.supports = SegmentPlan(keys, num_nodes * per_target)
+        self.target_rows = rel * num_nodes + tgt
+        self.source_rows = rel * num_nodes + src
+        self.target_rows.setflags(write=False)
+        self.source_rows.setflags(write=False)
 
 
 def _edge_logits(qe: Tensor, ke: Tensor, mode: str) -> Tensor:
@@ -164,13 +195,13 @@ def attention_coefficients(
     """
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}")
-    tgt_all, _, rel = _edge_arrays(edges)
+    tgt_all, _, _ = _edge_arrays(edges)
     if tgt_all.size and (tgt_all.min() < 0 or tgt_all.max() >= num_nodes):
         raise ValueError("edge target out of range")
-    segments = _support_keys(tgt_all, rel, num_nodes, kind)
+    supports = EdgePlan(edges, num_nodes, kind).supports
 
     if kind.startswith("c-"):
-        return AttentionResult(_normalize(None, segments, 1), segments)
+        return AttentionResult(_normalize(None, supports, 1), supports.ids)
 
     if logits is None:
         raise ValueError("learned normalization needs logits")
@@ -180,7 +211,7 @@ def attention_coefficients(
         if part.ndim != 1 or part.size != len(t):
             raise ValueError("logit vectors must align with the edge lists")
     flat = logits[0] if len(logits) == 1 else concat_rows(list(logits))
-    return AttentionResult(_normalize(flat, segments, 1), segments)
+    return AttentionResult(_normalize(flat, supports, 1), supports.ids)
 
 
 class RgatLayer:
@@ -318,34 +349,39 @@ class RgatLayer:
     def forward(
         self,
         leaves: dict[str, Tensor],
-        edges: Sequence[tuple[np.ndarray, np.ndarray]],
+        edges: Sequence[tuple[np.ndarray, np.ndarray]] | EdgePlan,
         num_nodes: int,
         h: Tensor,
         *,
         constant: bool = False,
     ) -> Tensor:
         """Runs every (relation, head) slot at once; the op count does not
-        depend on the number of relations or heads.
+        depend on the number of relations or heads. edges may be given as
+        their EdgePlan for this layer's normalization kind.
 
         Projected features, queries and keys are stacked by slot: slot
         s = k*R + r holds rows s*N to (s+1)*N, so one gather picks every
         head's row of every edge.
         """
-        if len(edges) != self.num_relations:
+        relations = edges.num_relations if isinstance(edges, EdgePlan) else len(edges)
+        if relations != self.num_relations:
             raise ValueError(
-                f"layer built for {self.num_relations} relations, got {len(edges)} edge lists"
+                f"layer built for {self.num_relations} relations, got {relations} edge lists"
             )
         if h.shape[0] != num_nodes:
             raise ValueError(f"features have {h.shape[0]} rows for {num_nodes} nodes")
-        heads, relations, fp = self.heads, self.num_relations, self.per_head
+        plan = edges if isinstance(edges, EdgePlan) else EdgePlan(edges, num_nodes, self.norm_kind)
+        if plan.num_nodes != num_nodes or plan.norm_kind != self.norm_kind:
+            raise ValueError(
+                f"edge plan is for {plan.num_nodes} nodes and {plan.norm_kind!r} supports,"
+                f" the layer runs {num_nodes} and {self.norm_kind!r}"
+            )
+        heads, fp = self.heads, self.per_head
         slots = relations * heads
-        tgt, src, rel = _edge_arrays(edges)
-        head = np.arange(heads)
         # slot row of each (edge, head), listed edge-major then head
-        slot_base = (head * relations + rel[:, None]) * num_nodes
-        tgt_rows = (slot_base + tgt[:, None]).ravel()
-        src_rows = (slot_base + src[:, None]).ravel()
-        keys = _support_keys(tgt, rel, num_nodes, self.norm_kind)
+        head_base = np.arange(heads) * (relations * num_nodes)
+        tgt_rows = (plan.target_rows[:, None] + head_base).ravel()
+        src_rows = (plan.source_rows[:, None] + head_base).ravel()
 
         g = block_matmul(h, self._stacked_kernels(leaves, "w"), slots, shared="x")
         logits = None
@@ -356,10 +392,10 @@ class RgatLayer:
             query = block_matmul(g, a, slots, window=(0, fp))
             key = block_matmul(g, a, slots, window=(fp, 2 * fp))
             logits = _edge_logits(gather_rows(query, tgt_rows), gather_rows(key, src_rows), self.logit_mode)
-        alpha = _normalize(logits, keys, heads)
+        alpha = _normalize(logits, plan.supports, heads)
         values = gather_rows(g, src_rows)
-        messages = reshape(scale_rows(values, alpha), (tgt.size, heads * fp))
-        out = segment_reduce(messages, tgt, num_nodes, "sum")
+        messages = reshape(scale_rows(values, alpha), (plan.target_rows.size, heads * fp))
+        out = segment_reduce(messages, plan.targets, num_nodes, "sum")
         if self.use_bias:
             out = add(out, concat_rows([leaves[f"{self.name}.bias.k{k}"] for k in range(heads)]))
         if self.head_agg == "mean":

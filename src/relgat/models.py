@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .graph import GraphFormatError
-from .layers import RgatLayer, glorot
+from .layers import EdgePlan, RgatLayer, glorot
 from .tensor import (
+    SegmentPlan,
     Tape,
     Tensor,
     add,
@@ -170,7 +171,7 @@ class _TwoLayerModel:
     """What both classifiers share: a concatenating relu attention layer,
     then a second layer with the head's aggregation and activation, run as
     mask -> layer1 -> mask -> layer2. Their W and A kernels form the four L2
-    groups.
+    groups. A forward takes the edges or their EdgePlan.
 
     A forward's ``dropout``, when given, is called with the shape of each
     tensor the model masks, in forward order, and returns the mask to
@@ -198,6 +199,9 @@ class _TwoLayerModel:
         self.params.update(self.layer2.params)
 
     def _encode(self, leaves, edges, num_nodes: int, h: Tensor, constant: bool, dropout) -> Tensor:
+        # both layers and their backwards share one plan of the edges
+        if not isinstance(edges, EdgePlan):
+            edges = EdgePlan(edges, num_nodes, self.config.norm_kind)
         h = self.layer1.forward(leaves, edges, num_nodes, _masked(h, dropout), constant=constant)
         return self.layer2.forward(leaves, edges, num_nodes, _masked(h, dropout), constant=constant)
 
@@ -334,6 +338,8 @@ class GraphClassifier(_TwoLayerModel):
         row g*T + t holding graph g's distribution for task t; dropout masks
         the input features, both layer outputs and the first dense layer."""
         h = self._encode(leaves, edges, num_nodes, features, constant, dropout)
+        if not isinstance(graph_segment, SegmentPlan):
+            graph_segment = SegmentPlan(graph_segment, graph_count)
         pooled = tanh(graph_gather(_masked(h, dropout), graph_segment, graph_count))
         d = relu(add(matmul(pooled, leaves["dense1.w"]), leaves["dense1.b"]))
         out = add(matmul(_masked(d, dropout), leaves["dense2.w"]), leaves["dense2.b"])

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "GradientMap",
     "KinkError",
+    "SegmentPlan",
     "Tape",
     "Tensor",
     "add",
@@ -206,14 +207,65 @@ def _index_array(indices, bound: int, name: str) -> np.ndarray:
     return idx
 
 
-def _segment_ids(segments, num_segments: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    # the one id check and the one count of every segment op
-    if num_segments < 0:
-        raise ValueError("num_segments must be non-negative")
-    segs = _index_array(segments, max(num_segments, 1), "segment ids")
-    if segs.size != rows:
-        raise ValueError(f"segment ids cover {segs.size} rows, values have {rows}")
-    return segs, np.bincount(segs, minlength=num_segments)
+class SegmentPlan:
+    """The segment of every row, checked and counted once, for any number of
+    segment ops over the same ids: ``segment_reduce``, ``segment_mean_max``
+    and ``segment_softmax`` take a plan where they take ids.
+
+    A plan holds the ids, their counts and, from the first sum that sorts
+    by runs, the row indices of every run size. Nothing in it comes from
+    values, and it holds integer arrays only. A planned op gives the bytes
+    its raw-id call gives.
+    """
+
+    __slots__ = ("ids", "counts", "kept", "_calls", "_runs")
+
+    def __init__(self, segments, num_segments: int):
+        # the one id check and the one count of every segment op
+        if num_segments < 0:
+            raise ValueError("num_segments must be non-negative")
+        ids = _index_array(segments, max(num_segments, 1), "segment ids")
+        self.counts = np.bincount(ids, minlength=num_segments)
+        # read-only, so that no op writes to a plan others share; the ids
+        # are a view, so a caller's own array stays writable
+        self.ids = ids.view()
+        self.ids.setflags(write=False)
+        self.counts.setflags(write=False)
+        # set by an owner that keeps the plan for later calls
+        self.kept = False
+        self._calls = self._runs = None
+
+    @property
+    def num_segments(self) -> int:
+        return self.counts.size
+
+    def sorts_by_runs(self, entries: int) -> bool:
+        """Whether a sum of this many entries should sort by runs rather
+        than take the value sort. Runs pay from _ENTRIES_PER_RUN_CALL
+        entries per numpy call of their pass. Building them pays for itself
+        within one sum only from _NETWORK_MIN_ENTRIES entries, so a plan not
+        kept for later calls builds them for no smaller sum."""
+        if self._runs is None and not self.kept and entries < _NETWORK_MIN_ENTRIES:
+            return False
+        if self._calls is None:
+            sizes = np.flatnonzero(np.bincount(self.counts)[1:]) + 1
+            self._calls = int(_RUN_CALLS[np.minimum(sizes, len(_NETWORKS))].sum())
+        return entries >= _ENTRIES_PER_RUN_CALL * self._calls
+
+    def runs(self) -> list:
+        if self._runs is None:
+            self._runs = _runs(self.ids, self.counts)
+        return self._runs
+
+
+def _plan(segments, num_segments: int, rows: int) -> SegmentPlan:
+    # raw ids make a plan of one call; a given plan must fit the call
+    plan = segments if isinstance(segments, SegmentPlan) else SegmentPlan(segments, num_segments)
+    if plan.num_segments != num_segments:
+        raise ValueError(f"plan has {plan.num_segments} segments, the call {num_segments}")
+    if plan.ids.size != rows:
+        raise ValueError(f"segment ids cover {plan.ids.size} rows, values have {rows}")
+    return plan
 
 
 def _sort_by_segment_and_value(data: np.ndarray, segments: np.ndarray, counts: np.ndarray):
@@ -268,13 +320,27 @@ _NETWORKS = (
      (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6)),
 )
 
-# The networks cost about 0.25 ms per call whatever the input, so they run
-# only on wide matrices. Best of 40 calls on a 2-core Intel Xeon (numpy 2.4),
-# supports of 1 to 8 rows, value sort time over network time: 100x104 0.86,
-# 128x104 1.1, 512x16 1.3, 1024x16 1.8, 2048x16 4.3, 2048x104 7.7; one
-# column of 4,096 or 9,720 rows (softmax denominators) 0.5-0.6. The bound
-# keeps the sums of one-graph forwards (at most ~100 rows) on the value sort.
+# The networks cost about 0.25 ms per call whatever the input, so raw-id
+# sums run them only on wide matrices. Best of 40 calls on a 2-core Intel
+# Xeon (numpy 2.4), supports of 1 to 8 rows, value sort time over network
+# time: 100x104 0.86, 128x104 1.1, 512x16 1.3, 1024x16 1.8, 2048x16 4.3,
+# 2048x104 7.7; one column of 4,096 or 9,720 rows (softmax denominators)
+# 0.5-0.6. The bound keeps the sums of one-graph forwards (at most ~100
+# rows) on the value sort.
 _NETWORK_MIN_ENTRIES = 1 << 14
+
+# Numpy calls per run size of a run pass: two per comparator, one per lane
+# added, and a gather and a store; a longer size's block sort makes about 8.
+_RUN_CALLS = np.array([2 * len(net) + size + 2 for size, net in enumerate(_NETWORKS)] + [8])
+
+# Once a plan has its runs, a sum sorts by them when its entries reach this
+# many per numpy call of the plan's run pass (_RUN_CALLS over its run
+# sizes): a call costs far more than an entry. Best of 40 calls on a 2-core
+# Intel Xeon (numpy 2.4), run pass against value sort, on the layers' target
+# and support plans and the pooling plans of the three benchmark workloads
+# (one and several planted graphs, a 3,500-edge one-hot graph) at 1 to 128
+# columns: the two broke even at 20 to 40 entries per call in every plan.
+_ENTRIES_PER_RUN_CALL = 32
 
 
 def _sort_lanes(lanes: list[np.ndarray]) -> None:
@@ -290,31 +356,81 @@ def _sort_lanes(lanes: list[np.ndarray]) -> None:
         lanes[i], spare = spare, lanes[i]
 
 
-def _network_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # The same (segments, cols) sums as the value-sorted path, bit for bit,
-    # for segments of up to 8 rows: one argsort of the ids, then per size s
-    # gather the segments' rows into s lanes and sort them with a fixed
-    # network, then add them as np.add.reduceat adds a sorted run of up to 8:
-    # a0 + (-0.0 + a1 + ... + a_{s-1}), left to right. A run's sum depends
-    # only on its multiset, so the row order within a segment does not
-    # matter. Longer segments keep the value sort.
-    out = np.zeros((counts.size, data.shape[1]), dtype=data.dtype)
+def _runs(segments: np.ndarray, counts: np.ndarray) -> list:
+    # Per run size present, ascending: (size, the segments of that size,
+    # their rows), the rows as (size, n) for the networks' runs of up to 8
+    # and as (n, size) for the longer runs a block sort orders. The default
+    # argsort is not stable, and need not be: a run's sum depends only on
+    # its multiset.
     order = np.argsort(segments)
     starts = np.cumsum(counts) - counts
-    for size in range(1, len(_NETWORKS)):
-        which = np.flatnonzero(counts == size)
-        if not which.size:
-            continue
-        lanes = list(data[order[starts[which] + np.arange(size)[:, None]]])
-        _sort_lanes(lanes)
-        out[which] = lanes[0] + sum(lanes[1:], -0.0)
-    long = counts >= len(_NETWORKS)
-    if long.any():
-        rows = long[segments]
-        local_segments = (np.cumsum(long) - 1)[segments[rows]]
-        ordered, runs = _sort_by_segment_and_value(data[rows], local_segments, counts[long])
-        out[long] = _sorted_sums(ordered, runs, counts[long])
-    return out
+    nonempty = np.flatnonzero(counts)
+    by_size = nonempty[np.argsort(counts[nonempty], kind="stable")]
+    sizes, first = np.unique(counts[by_size], return_index=True)
+    runs = []
+    for size, which in zip(sizes.tolist(), np.split(by_size, first[1:])):
+        lane = np.arange(size)
+        if size < len(_NETWORKS):
+            runs.append((size, which, order[starts[which] + lane[:, None]]))
+        else:
+            runs.append((size, which, order[starts[which][:, None] + lane]))
+    return runs
+
+
+def _run_stats(data: np.ndarray, counts: np.ndarray, runs: list, maxima: bool = False):
+    # The (segments, cols) sums of the value-sorted path, bit for bit, from
+    # each run in ascending order: runs of up to 8 rows gathered into lanes
+    # and sorted by a fixed network, longer runs sorted as contiguous
+    # (n, cols, size) blocks by np.sort. Both add a run as np.add.reduceat
+    # does, a0 + (-0.0 + a1 + ... + a_{s-1}), pairwise past 8 terms.
+    # With maxima, also each segment's max and the smallest gap between a
+    # segment's top two values, as _sorted_max gives them; else None, inf.
+    # np.sort's SIMD kernels may return one zero for both of a (+0.0, -0.0)
+    # pair. Only a sum of zeros alone, which is -0.0 unless a +0.0 is among
+    # them, and a zero max can show that, so those two are mended from the
+    # unsorted run.
+    shape = (counts.size, data.shape[1])
+    sums = np.zeros(shape, dtype=data.dtype)
+    top = np.zeros(shape, dtype=data.dtype) if maxima else None
+    gap = np.inf
+    for size, which, rows in runs:
+        if size < len(_NETWORKS):
+            lanes = list(data[rows])
+            _sort_lanes(lanes)
+            total = lanes[0] + sum(lanes[1:], -0.0)
+            last, below = lanes[-1], lanes[-2] if size > 1 else None
+            held, axis = lanes, 0
+        else:
+            run = data[rows]
+            block = run.transpose(0, 2, 1).copy()
+            block.sort(axis=2)
+            total = np.add.reduceat(block, [0], axis=2)[:, :, 0]
+            last, below = block[:, :, -1], block[:, :, -2]
+            held, axis = run, 1
+            lost = (total == 0) & np.signbit(total)
+            if lost.any():
+                total[lost & _holds_plus_zero(held, axis)] = 0.0
+        sums[which] = total
+        if maxima:
+            zero = last == 0
+            if zero.any():
+                # a zero max is +0.0 whenever its run holds one
+                last = np.where(zero & _holds_plus_zero(held, axis), 0.0, last)
+            top[which] = last
+            if below is not None:
+                gap = min(gap, float(np.min(last - below)))
+    return sums, top, gap
+
+
+def _holds_plus_zero(runs, axis: int) -> np.ndarray:
+    # whether each run holds a +0.0, over the runs' axis
+    runs = np.asarray(runs)
+    return np.logical_or.reduce((runs == 0) & ~np.signbit(runs), axis=axis)
+
+
+def _network_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # a raw-id sum through runs built for this call alone
+    return _run_stats(data, counts, _runs(segments, counts))[0]
 
 
 def _segment_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -324,13 +440,19 @@ def _segment_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) ->
     return _sorted_sums(*_sort_by_segment_and_value(data, segments, counts), counts)
 
 
+def _sums(data: np.ndarray, plan: SegmentPlan, planned: bool) -> np.ndarray:
+    # a call given a plan sums by its runs where they pay (sorts_by_runs)
+    if planned and plan.sorts_by_runs(data.size):
+        return _run_stats(data, plan.counts, plan.runs())[0]
+    return _segment_sums(data, plan.ids, plan.counts)
+
+
 def _sorted_max(data, segments, counts, ordered, starts, differentiable: bool):
     # Each segment's max is the last entry of its sorted run; empty segments
     # get zero. Returns the (segments, cols) maxima and, for a differentiable
     # tape only, the smallest gap between a segment's top two values and the
-    # (segment, col, row) coordinates of the first row holding each max,
-    # which takes the whole gradient.
-    rows, cols = data.shape
+    # first winners (_first_winners).
+    cols = data.shape[1]
     nonempty = counts > 0
     ends = starts + counts[nonempty] - 1
     top = ordered[:, ends]
@@ -348,11 +470,30 @@ def _sorted_max(data, segments, counts, ordered, starts, differentiable: bool):
     # finite-difference probe is around this max
     multi = counts[nonempty] >= 2
     gap = float(np.min(top[:, multi] - ordered[:, ends[multi] - 1])) if multi.any() else np.inf
-    hit_rows, hit_cols = np.nonzero(data == out[segments])
-    first = np.full((counts.size, cols), rows, dtype=np.int64)
+    return out, gap, _first_winners(data, segments, out)
+
+
+def _maxima(data: np.ndarray, plan: SegmentPlan, planned: bool, differentiable: bool):
+    # (sums, maxima, gap, first winners) of each segment, from one sort
+    if planned and plan.sorts_by_runs(data.size):
+        sums, top, gap = _run_stats(data, plan.counts, plan.runs(), maxima=True)
+        if not differentiable:
+            return sums, top, np.inf, None
+        return sums, top, gap, _first_winners(data, plan.ids, top)
+    ordered, starts = _sort_by_segment_and_value(data, plan.ids, plan.counts)
+    top, gap, winners = _sorted_max(data, plan.ids, plan.counts, ordered, starts, differentiable)
+    return _sorted_sums(ordered, starts, plan.counts), top, gap, winners
+
+
+def _first_winners(data: np.ndarray, segments: np.ndarray, top: np.ndarray):
+    # (segment, col, row) coordinates of the first row holding each max,
+    # which takes the whole gradient
+    rows = data.shape[0]
+    hit_rows, hit_cols = np.nonzero(data == top[segments])
+    first = np.full(top.shape, rows, dtype=np.int64)
     np.minimum.at(first, (segments[hit_rows], hit_cols), hit_rows)
     win_segs, win_cols = np.nonzero(first < rows)
-    return out, gap, (win_segs, win_cols, first[win_segs, win_cols])
+    return win_segs, win_cols, first[win_segs, win_cols]
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +826,10 @@ def scale_rows(m: Tensor, v) -> Tensor:
 def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum") -> Tensor:
     """Per-segment sum, mean or max over rows. Empty segments yield zero rows.
 
-    Sums accumulate each segment in value-sorted order, so the result is
-    bitwise independent of the order the rows are listed in. The max's
-    gradient goes to the first row holding each segment's max.
+    segments holds one id per row, or a SegmentPlan of them. Sums
+    accumulate each segment in value-sorted order, so the result is bitwise
+    independent of the order the rows are listed in. The max's gradient
+    goes to the first row holding each segment's max.
     """
     if mode not in ("sum", "mean", "max"):
         raise ValueError(f"unknown reduce mode {mode!r}")
@@ -696,14 +838,15 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
     flat_in = values.ndim == 1
     data = values.data[:, None] if flat_in else values.data
     rows, cols = data.shape
-    segs, counts = _segment_ids(segments, num_segments, rows)
+    planned = isinstance(segments, SegmentPlan)
+    plan = _plan(segments, num_segments, rows)
+    segs, counts = plan.ids, plan.counts
     values_id = values.id
     gap, winners = np.inf, None
     if mode == "max":
-        ordered, starts = _sort_by_segment_and_value(data, segs, counts)
-        out, gap, winners = _sorted_max(data, segs, counts, ordered, starts, values.tape.differentiable)
+        _, out, gap, winners = _maxima(data, plan, planned, values.tape.differentiable)
     else:
-        out = _segment_sums(data, segs, counts)
+        out = _sums(data, plan, planned)
         if mode == "mean":
             out = out / np.maximum(counts, 1)[:, None]
 
@@ -727,20 +870,22 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
 def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
     """Per-segment mean and max of a matrix's rows, side by side:
     (rows, cols) -> (num_segments, 2*cols). Empty segments yield zero rows.
+    segments holds one id per row, or a SegmentPlan of them.
 
-    Both halves come from one value sort, and equal those of
+    Both halves come from one sort, and equal those of
     ``concat_cols([segment_reduce(.., "mean"), segment_reduce(.., "max")])``
     bit for bit: values, gradient and kink gap.
     """
     if values.ndim != 2:
         raise ValueError(f"segment_mean_max expects a matrix, got shape {values.shape}")
     rows, cols = values.shape
-    segs, counts = _segment_ids(segments, num_segments, rows)
+    planned = isinstance(segments, SegmentPlan)
+    plan = _plan(segments, num_segments, rows)
+    segs = plan.ids
     data, values_id = values.data, values.id
-    ordered, starts = _sort_by_segment_and_value(data, segs, counts)
-    divisor = np.maximum(counts, 1)
-    mean = _sorted_sums(ordered, starts, counts) / divisor[:, None]
-    top, gap, winners = _sorted_max(data, segs, counts, ordered, starts, values.tape.differentiable)
+    sums, top, gap, winners = _maxima(data, plan, planned, values.tape.differentiable)
+    divisor = np.maximum(plan.counts, 1)
+    mean = sums / divisor[:, None]
 
     def backward(g, grads):
         # the max half's gradient is added before the mean half's, as the
@@ -757,26 +902,36 @@ def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
 def segment_softmax(logits: Tensor, segments) -> Tensor:
     """Softmax within each segment of a flat logit vector.
 
-    Numerically stabilized by subtracting the per-segment max. Entries of a
-    segment sum to 1; a singleton segment maps to exactly 1. Empty input
-    yields empty output.
+    segments holds one id per logit, or a SegmentPlan over rows of k
+    logits each: the softmax then runs within each (segment, column) of the
+    logits read as a (rows, k) matrix, which equals a softmax over the ids
+    id*k + column. Numerically stabilized by subtracting the per-segment
+    max. Entries of a segment sum to 1; a singleton segment maps to exactly
+    1. Empty input yields empty output.
     """
     if logits.ndim != 1:
         raise ValueError(f"segment_softmax expects a flat tensor, got {logits.shape}")
-    ids = np.asarray(segments, dtype=np.int64)
-    n = int(ids.max(initial=-1)) + 1
-    segs, counts = _segment_ids(ids, n, logits.size)
+    planned = isinstance(segments, SegmentPlan)
+    if planned:
+        plan = segments
+    else:
+        ids = np.asarray(segments, dtype=np.int64)
+        plan = SegmentPlan(ids, int(ids.max(initial=-1)) + 1)
+    rows = plan.ids.size
+    k = max(logits.size // rows, 1) if rows else 1
+    if rows * k != logits.size:
+        raise ValueError(f"segment ids cover {rows} rows, values have {logits.size}")
     logits_id, x = logits.id, logits.data
-    mx = np.full(n, -np.inf)
-    np.maximum.at(mx, segs, x)
-    e = np.exp(x - mx[segs])
-    y = e / _segment_sums(e[:, None], segs, counts)[:, 0][segs]
+    # a max is exact in any order, so it needs no runs: one pass over flat ids
+    flat = plan.ids if k == 1 else (plan.ids[:, None] * k + np.arange(k)).ravel()
+    mx = np.full(plan.num_segments * k, -np.inf)
+    np.maximum.at(mx, flat, x)
+    e = np.exp(x - mx[flat])
+    y = e / _sums(e.reshape(rows, k), plan, planned)[plan.ids].ravel()
 
     def backward(g, grads):
-        # recounted rather than kept from the forward: with many empty
-        # supports the counts outsize the ids
-        s = _segment_sums((y * g)[:, None], *_segment_ids(segs, n, y.size))[:, 0]
-        _acc(grads, logits_id, y * (g - s[segs]))
+        s = _sums((y * g).reshape(rows, k), plan, planned)
+        _acc(grads, logits_id, y * (g - s[plan.ids].ravel()))
 
     return logits.tape.record(y, backward)
 

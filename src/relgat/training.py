@@ -137,13 +137,16 @@ def drop_edges(rng: np.random.Generator, edges, rate: float, *, self_relation: b
     return tuple(out)
 
 
-def _dropout(rng, config: TrainConfig, graph):
+def _dropout(rng, config: TrainConfig, graph, norm_kind: str):
     """The run's dropout for one forward: the graph's edges after edge
-    dropout, and the mask maker the model calls with the shape of each
-    tensor it masks. Without a generator the forward is clean."""
+    dropout, as the graph's kept plan when none is dropped, and the mask
+    maker the model calls with the shape of each tensor it masks. Without a
+    generator the forward is clean."""
     if rng is None:
-        return graph.edges, None
+        return graph.edge_plan(norm_kind), None
     edges = drop_edges(rng, graph.edges, config.edge_dropout, self_relation=graph.self_relation)
+    if edges is graph.edges:
+        edges = graph.edge_plan(norm_kind)
     rate = config.feature_dropout
     return edges, lambda shape: feature_mask(rng, shape, rate)
 
@@ -213,7 +216,7 @@ class _NodeFit:
 
     def forward(self, tape, leaves, part, *, rng=None, config=None, constant=False):
         g = self.task.graph
-        edges, dropout = _dropout(rng, config, g)
+        edges, dropout = _dropout(rng, config, g, self.model.config.norm_kind)
         features = None if g.features is None else tape.leaf(g.features)
         return self.model.forward(
             leaves, edges, g.num_nodes, features, constant=constant, dropout=dropout
@@ -258,7 +261,7 @@ class _GraphFit:
     def forward(self, tape, leaves, part, *, rng=None, config=None, constant=False):
         _, batch, _ = part
         g = batch.graph
-        edges, dropout = _dropout(rng, config, g)
+        edges, dropout = _dropout(rng, config, g, self.model.config.norm_kind)
         return self.model.forward(
             leaves,
             edges,
@@ -317,10 +320,15 @@ def _fit(model, task):
 
 
 def _resolve_weights(model: GraphClassifier, task: GraphTask) -> np.ndarray:
+    """The task's class weights, or inverse train-split frequencies; a task
+    without a labelled train graph has none to invert and weighs every
+    class 1, so that its loss elsewhere stays the plain mean -log p."""
     if task.labels.class_weights is not None:
         return np.asarray(task.labels.class_weights, dtype=np.float64)
     train_labels = task.labels.graph_classes[np.asarray(task.split.train, dtype=np.int64)]
-    return inverse_frequency_weights(train_labels, model.config.num_classes)
+    weights = inverse_frequency_weights(train_labels, model.config.num_classes)
+    weights[~(train_labels >= 0).any(axis=0)] = 1.0
+    return weights
 
 
 def _step(fit, params, state: AdamState, part, rng, config: TrainConfig) -> float:

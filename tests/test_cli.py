@@ -229,6 +229,44 @@ def test_eval_matches_library_evaluation(tmp_path, capsys):
     assert report["metrics"]["loss"] == direct["loss"]
 
 
+def test_eval_loss_without_train_labels_is_the_mean_negative_log_probability(tmp_path, capsys):
+    # with every split id moved into test, no train label is left to take
+    # inverse-frequency weights from; the loss used to read -0.0
+    data = tmp_path / "data.json"
+    assert main(["gen", "--seed", "2", "--graphs", "24", "--nodes", "10", "--relations", "3",
+                 "--out", str(data)]) == 0
+    out = _train(tmp_path, data, "run")
+    doc = json.loads(data.read_text())
+    splits = doc["splits"]
+    splits["test"] = sorted(splits.pop("train") + splits.pop("validation") + splits["test"])
+    moved = tmp_path / "all-test.json"
+    moved.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(moved), "--checkpoint", str(out), "--split", "test"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    from relgat.cli import _rebuild_model
+    from relgat.graph import batch_graphs, parse_dataset
+    from relgat.models import bind_params, load_checkpoint
+    from relgat.tensor import Tape
+
+    params, manifest = load_checkpoint(out)
+    model = _rebuild_model(manifest)
+    model.params = params
+    task = parse_dataset(moved.read_text())
+    ids = np.array(task.split.test)
+    batch = batch_graphs([task.graphs[i] for i in ids])
+    tape = Tape(differentiable=False)
+    g = batch.graph
+    probs = model.forward(
+        bind_params(tape, params), g.edges, g.num_nodes, tape.leaf(g.features),
+        batch.graph_segment, batch.graph_count,
+    ).data
+    labels = task.labels.graph_classes[ids, 0]
+    want = -np.mean(np.log(probs[np.flatnonzero(labels >= 0), labels[labels >= 0]]))
+    assert report["metrics"]["loss"] > 0
+    assert report["metrics"]["loss"] == pytest.approx(want, rel=1e-12)
+
+
 def test_eval_rejects_checkpoint_with_missing_or_reshaped_parameter(tmp_path, capsys):
     data = _gen(tmp_path)
     out = _train(tmp_path, data, "run")

@@ -1,7 +1,10 @@
 """Graph data model: canonical edges, document round trips, batching, and
 the synthetic benchmark generator."""
 
+import gc
 import json
+import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +28,9 @@ from relgat.graph import (
     serialize_graph,
     with_self_relation,
 )
+from relgat.layers import EdgePlan
 from relgat.models import GraphClassifier, GraphClassifierConfig, bind_params
-from relgat.tensor import Tape
+from relgat.tensor import SegmentPlan, Tape, Tensor
 
 
 def _features(n, f, seed=0):
@@ -353,3 +357,65 @@ def test_task_document_requires_labels_and_splits():
     g = build_graph(2, 1, [], _features(2, 2))
     with pytest.raises(GraphFormatError, match="labels and splits"):
         parse_dataset(serialize_graph(g))
+
+
+def _plan_leaves(obj):
+    # every value a plan holds, walking its slots, lists and tuples
+    if isinstance(obj, (EdgePlan, SegmentPlan)):
+        for name in type(obj).__slots__:
+            yield from _plan_leaves(getattr(obj, name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _plan_leaves(item)
+    else:
+        yield obj
+
+
+def _planned_graph():
+    triples = [[0, 1, 2], [0, 1, 3], [1, 0, 1], [0, 2, 0]] + [[1, 1, s] for s in range(12)]
+    return with_self_relation(build_graph(14, 2, triples, _features(14, 3)))
+
+
+def test_an_edge_plan_memo_holds_integer_arrays_only():
+    g = _planned_graph()
+    for kind in ("wirgat", "argat"):
+        plan = g.edge_plan(kind)
+        assert g.edge_plan(kind) is plan
+        plan.targets.runs()  # the lazily built part too
+        plan.supports.sorts_by_runs(1)
+        for value in _plan_leaves(plan):
+            assert not isinstance(value, (Tensor, Tape))
+            if isinstance(value, np.ndarray):
+                assert value.dtype.kind == "i", value.dtype
+            else:
+                assert value is None or isinstance(value, (int, str)), type(value)
+
+
+def test_a_graph_and_its_memo_are_freed_together():
+    gc.collect()
+    gc.disable()
+    try:
+        g = _planned_graph()
+        plan = g.edge_plan("wirgat")
+        plan.targets.runs()
+        refs = [weakref.ref(g), weakref.ref(plan.target_rows), weakref.ref(plan.targets.ids)]
+        del g, plan
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_an_edge_plan_memo_changes_no_observable_of_the_graph():
+    g, twin = _planned_graph(), _planned_graph()
+    before = (repr(g), serialize_graph(g), pickle.dumps(g))
+    g.edge_plan("wirgat")
+    g.edge_plan("argat")
+    assert (repr(g), serialize_graph(g), pickle.dumps(g)) == before
+    assert repr(replace(g)) == repr(twin)
+    assert "_plans" not in vars(replace(g))
+    assert "_plans" not in vars(pickle.loads(pickle.dumps(g)))
+    # == compares the fields; one edge and no feature matrix keep numpy's
+    # elementwise comparisons down to one truth value
+    a, b = (build_graph(1, 1, [[0, 0, 0]], one_hot=True) for _ in range(2))
+    a.edge_plan("wirgat")
+    assert a == b and b == a

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import relgat.tensor
 from relgat.tensor import (
     KinkError,
+    SegmentPlan,
     Tape,
     add,
     block_matmul,
@@ -42,6 +43,8 @@ from relgat.tensor import (
 from relgat.tensor import (
     _NETWORKS,
     _network_sums,
+    _runs,
+    _run_stats,
     _segment_sums,
     _sort_by_segment_and_value,
     _sort_lanes,
@@ -549,6 +552,130 @@ def test_segment_sums_take_the_networks_only_for_wide_matrices(monkeypatch):
         tape = Tape(differentiable=False)
         segment_reduce(tape.leaf(rng.normal(size=(rows, cols))), segments, rows // 3, "sum")
     assert shapes == [(2048, 16)]
+
+
+def _values(rng, kind, shape):
+    if kind == "signed-zero-pool":
+        return rng.choice([-0.0, 0.0, 1.0, -1.0, 1e-16, 3.0], size=shape)
+    if kind == "zeros":
+        return np.where(rng.random(shape) < rng.random(), -0.0, 0.0)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+
+
+def _segment_op_bytes(op, values, backward_weights):
+    # an op's output, the gradient of a weighted sum of it and the kink gap
+    tape = Tape()
+    v = tape.leaf(values)
+    out = op(v)
+    grads = tape.backward(sum_all(mul(out, backward_weights)))
+    return out.data.tobytes(), grads[v].tobytes(), tape.min_kink_gap()
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.just(1), st.integers(2, 8), st.integers(9, 40)),
+        min_size=1,
+        max_size=10,
+    ),
+    st.sampled_from([1, 2, 16, 104]),
+    st.sampled_from(["signed-zero-pool", "zeros", "gaussian"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_planned_segment_ops_equal_raw_id_ops_bytewise(sizes, cols, kind, by_runs, seed):
+    # segment sizes 0, 1, 2 to 8 (the networks) and 9 to 40 (the block
+    # sort); by_runs makes every planned call sort by runs, whatever its size
+    rng = np.random.default_rng(seed)
+    n = len(sizes)
+    segments = rng.permutation(np.repeat(np.arange(n), sizes))
+    values = _values(rng, kind, (segments.size, cols))
+    plan = SegmentPlan(segments, n)
+    plan.kept = by_runs
+    out_weights = rng.normal(size=(n, cols))
+    with pytest.MonkeyPatch.context() as mp:
+        if by_runs:
+            mp.setattr(relgat.tensor, "_ENTRIES_PER_RUN_CALL", 0)
+        for mode in ("sum", "mean", "max"):
+            planned, raw = (
+                _segment_op_bytes(lambda v: segment_reduce(v, ids, n, mode), values, out_weights)
+                for ids in (plan, segments)
+            )
+            assert planned == raw, mode
+        # mean, max, kink gap and first winners (through the gradient)
+        weights = rng.normal(size=(n, 2 * cols))
+        planned, raw = (
+            _segment_op_bytes(lambda v: segment_mean_max(v, ids, n), values, weights)
+            for ids in (plan, segments)
+        )
+        assert planned == raw
+        # a plan over rows of `cols` logits each against the ids id*cols + col
+        flat_ids = (segments[:, None] * cols + np.arange(cols)).ravel()
+        logits = values.ravel() * 1e-3
+        grad_weights = rng.normal(size=logits.size)
+        planned, raw = (
+            _segment_op_bytes(lambda v: segment_softmax(v, ids), logits, grad_weights)
+            for ids in (plan, flat_ids)
+        )
+        assert planned == raw
+    assert (plan._runs is not None) or not by_runs
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(1, 8), st.integers(9, 40)), min_size=1, max_size=10),
+    st.sampled_from([1, 2, 16, 104]),
+    st.sampled_from(["signed-zero-pool", "zeros", "gaussian"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_run_stats_equal_the_value_sorted_sums_and_maxima_bytewise(sizes, cols, kind, seed):
+    # the runs against the value sort directly, at sizes that never dispatch
+    # to them
+    rng = np.random.default_rng(seed)
+    segments = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    values = _values(rng, kind, (segments.size, cols))
+    counts = np.bincount(segments, minlength=len(sizes))
+    ordered, starts = _sort_by_segment_and_value(values, segments, counts)
+    top, gap, _ = relgat.tensor._sorted_max(values, segments, counts, ordered, starts, True)
+    sums, run_top, run_gap = _run_stats(values, counts, _runs(segments, counts), maxima=True)
+    assert sums.tobytes() == _sorted_sums(ordered, starts, counts).tobytes()
+    assert run_top.tobytes() == top.tobytes()
+    assert run_gap == gap
+
+
+@pytest.mark.parametrize("size", [5, 12])
+def test_runs_add_as_reduceat_does_not_as_reduce(size):
+    # np.add.reduce over a block's last axis adds a run left to right;
+    # np.add.reduceat, like the value-sorted path, adds a0 + (a1 + ... ).
+    # These fixed runs of standard normals tell the two apart, so a block
+    # sum through np.add.reduce fails here.
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((4 * size, 3))
+    segments = rng.permutation(np.repeat(np.arange(4), size))
+    counts = np.bincount(segments)
+    want = _sorted_sums(*_sort_by_segment_and_value(values, segments, counts), counts)
+    assert _run_stats(values, counts, _runs(segments, counts))[0].tobytes() == want.tobytes()
+    block = np.sort(values[np.argsort(segments, kind="stable")].reshape(4, size, 3), axis=1)
+    block = block.transpose(0, 2, 1).copy()
+    assert np.add.reduceat(block, [0], axis=2)[:, :, 0].tobytes() == want.tobytes()
+    assert np.add.reduce(block, axis=2).tobytes() != want.tobytes()
+
+
+def test_a_plan_must_fit_the_call():
+    plan = SegmentPlan([0, 2, 2], 3)
+    tape = Tape()
+    with pytest.raises(ValueError, match="plan has 3 segments"):
+        segment_reduce(tape.leaf(np.ones((3, 2))), plan, 4)
+    with pytest.raises(ValueError, match="segment ids cover 3 rows"):
+        segment_mean_max(tape.leaf(np.ones((4, 2))), plan, 3)
+    for size in (7, 0):
+        with pytest.raises(ValueError, match="segment ids cover 3 rows"):
+            segment_softmax(tape.leaf(np.ones(size)), plan)
+    with pytest.raises(ValueError):
+        plan.ids[0] = 1  # a plan is read-only
+    ids = np.array([0, 1])
+    SegmentPlan(ids, 2)
+    ids[0] = 1  # and leaves the caller's array writable
 
 
 @settings(deadline=None, max_examples=60)

@@ -4,7 +4,10 @@ the early-stopping protocol."""
 import dataclasses
 import gc
 import json
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +402,60 @@ def test_tapes_are_freed_without_the_cycle_collector(monkeypatch):
         assert [ref for ref in tapes if ref() is not None] == []
     finally:
         gc.enable()
+
+
+def test_train_with_edge_dropout_keeps_plans_of_the_graphs_own_edges_only():
+    model, task = _node_task()
+    cfg = TrainConfig(epochs=3, patience=3, edge_dropout=0.3, feature_dropout=0.2)
+    train(model, task, cfg)
+    g = task.graph
+    plans = vars(g)["_plans"]
+    assert list(plans) == ["wirgat"]  # one per normalization kind used
+    plan = plans["wirgat"]
+    own_targets = np.concatenate([t for t, _ in g.edges])
+    assert np.array_equal(plan.targets.ids, own_targets)
+    assert plan.targets.ids.size == g.num_edges
+
+
+def test_a_graphs_plan_is_kept_from_its_second_forward_and_builds_no_runs_before():
+    # a one-off forward's plan must not pay for building runs on small sums
+    model, task = _node_task()
+    evaluate(model, task, "test")
+    plan = vars(task.graph)["_plans"]["wirgat"]
+    for segments in (plan.targets, plan.supports):
+        assert not segments.kept and segments._runs is None
+    evaluate(model, task, "test", constant=True)
+    assert plan.targets.kept and plan.supports.kept
+
+
+_FRESH_EVAL = """
+import sys
+sys.path.insert(0, {src!r})
+sys.path.insert(0, {tests!r})
+from test_training import _two_graphs_and_model
+from relgat.training import evaluate
+_, b, model = _two_graphs_and_model()
+print(repr([evaluate(model, b, split, constant=c) for split in ("train", "test") for c in (False, True)]))
+"""
+
+
+def _two_graphs_and_model():
+    # two node tasks with the same node and relation counts, different edges
+    model, a = _node_task(seed=0)
+    triples = [[0, i, (i + 5) % 12] for i in range(12)] + [[0, i, (i + 7) % 12] for i in range(0, 12, 2)]
+    graph = with_self_relation(build_graph(12, 1, triples, a.graph.features))
+    return a, dataclasses.replace(a, graph=graph), model
+
+
+def test_evaluating_one_graph_leaves_no_plan_for_another():
+    a, b, model = _two_graphs_and_model()
+    for c in (False, True):
+        evaluate(model, a, "test", constant=c)
+    got = repr([evaluate(model, b, split, constant=c) for split in ("train", "test") for c in (False, True)])
+    tests = Path(__file__).resolve().parent
+    script = _FRESH_EVAL.format(src=str(tests.parent / "src"), tests=str(tests))
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert got == fresh.stdout.strip()
 
 
 @pytest.mark.parametrize("constant", [False, True])
