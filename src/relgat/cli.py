@@ -195,6 +195,10 @@ def _cmd_eval(args) -> int:
     if config_hash(config) != manifest.get("config_hash"):
         raise GraphFormatError("checkpoint config does not match its config_hash")
     model = _rebuild_model(manifest)
+    model_kind = "node" if isinstance(model, NodeClassifier) else "graph"
+    data_kind = "node" if isinstance(task, NodeTask) else "graph"
+    if model_kind != data_kind:
+        raise GraphFormatError(f"checkpoint holds a {model_kind} model, the dataset a {data_kind} task")
     missing = sorted(model.params.keys() - params.keys())
     if missing:
         raise GraphFormatError(f"checkpoint lacks model parameters {missing}")

@@ -14,7 +14,7 @@ canonical document then serializing it reproduces the input byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,6 +56,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _same(a, b) -> bool:
+    # value equality through tuples, each numpy array compared whole
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _fields_equal(self, other):
+    # the == of a dataclass whose fields hold numpy arrays
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class RelGraph:
     """Immutable multi-relational graph.
@@ -72,6 +88,8 @@ class RelGraph:
     feature_dim: int
     one_hot_features: bool = False
     self_relation: bool = False
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if self.num_nodes < 0 or self.num_relations < 1:
@@ -196,6 +214,8 @@ class LabelSet:
     graph_classes: np.ndarray | None = None
     class_weights: np.ndarray | None = None
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         if self.kind not in ("node", "graph"):
             raise GraphFormatError(f"unknown label kind {self.kind!r}")
@@ -279,6 +299,8 @@ class BatchedGraph:
     graph: RelGraph
     graph_segment: np.ndarray
     graph_count: int
+
+    __eq__ = _fields_equal
 
 
 # ---------------------------------------------------------------------------

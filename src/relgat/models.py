@@ -22,7 +22,6 @@ import numpy as np
 from .graph import GraphFormatError
 from .layers import EdgePlan, RgatLayer, glorot
 from .tensor import (
-    SegmentPlan,
     Tape,
     Tensor,
     add,
@@ -250,6 +249,8 @@ class NodeClassifier(_TwoLayerModel):
         self.params: dict[str, np.ndarray] = {}
         in_dim = config.in_dim
         if config.one_hot:
+            if config.embed_dim is not None and config.embed_dim < 1:
+                raise ValueError(f"embed_dim must be positive, got {config.embed_dim}")
             in_dim = config.embed_dim or config.hidden_units
             self.params["embed"] = glorot(rng, config.in_dim, in_dim)
         elif config.embed_dim is not None:
@@ -338,8 +339,6 @@ class GraphClassifier(_TwoLayerModel):
         row g*T + t holding graph g's distribution for task t; dropout masks
         the input features, both layer outputs and the first dense layer."""
         h = self._encode(leaves, edges, num_nodes, features, constant, dropout)
-        if not isinstance(graph_segment, SegmentPlan):
-            graph_segment = SegmentPlan(graph_segment, graph_count)
         pooled = tanh(graph_gather(_masked(h, dropout), graph_segment, graph_count))
         d = relu(add(matmul(pooled, leaves["dense1.w"]), leaves["dense1.b"]))
         out = add(matmul(_masked(d, dropout), leaves["dense2.w"]), leaves["dense2.b"])

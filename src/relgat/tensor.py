@@ -210,15 +210,16 @@ def _index_array(indices, bound: int, name: str) -> np.ndarray:
 class SegmentPlan:
     """The segment of every row, checked and counted once, for any number of
     segment ops over the same ids: ``segment_reduce``, ``segment_mean_max``
-    and ``segment_softmax`` take a plan where they take ids.
+    and ``segment_softmax`` take a plan where they take ids, and make raw
+    ids a plan of one call.
 
     A plan holds the ids, their counts and, from the first sum that sorts
     by runs, the row indices of every run size. Nothing in it comes from
-    values, and it holds integer arrays only. A planned op gives the bytes
-    its raw-id call gives.
+    values, and it holds integer arrays only. An op given a plan gives the
+    bytes its raw-id call gives.
     """
 
-    __slots__ = ("ids", "counts", "kept", "_calls", "_runs")
+    __slots__ = ("ids", "counts", "kept", "_runs")
 
     def __init__(self, segments, num_segments: int):
         # the one id check and the one count of every segment op
@@ -233,24 +234,20 @@ class SegmentPlan:
         self.counts.setflags(write=False)
         # set by an owner that keeps the plan for later calls
         self.kept = False
-        self._calls = self._runs = None
+        self._runs = None
 
     @property
     def num_segments(self) -> int:
         return self.counts.size
 
-    def sorts_by_runs(self, entries: int) -> bool:
-        """Whether a sum of this many entries should sort by runs rather
-        than take the value sort. Runs pay from _ENTRIES_PER_RUN_CALL
-        entries per numpy call of their pass. Building them pays for itself
-        within one sum only from _NETWORK_MIN_ENTRIES entries, so a plan not
-        kept for later calls builds them for no smaller sum."""
-        if self._runs is None and not self.kept and entries < _NETWORK_MIN_ENTRIES:
-            return False
-        if self._calls is None:
-            sizes = np.flatnonzero(np.bincount(self.counts)[1:]) + 1
-            self._calls = int(_RUN_CALLS[np.minimum(sizes, len(_NETWORKS))].sum())
-        return entries >= _ENTRIES_PER_RUN_CALL * self._calls
+    def sorts_by_runs(self, shape: tuple[int, int]) -> bool:
+        """The one dispatch rule of every segment sum and max over a
+        (rows, cols) matrix: sort by runs once the plan has them or its
+        owner keeps it, and else only where building them pays within the
+        call, a matrix of more than one column and at least
+        _NETWORK_MIN_ENTRIES entries. Every other sum takes the value sort."""
+        rows, cols = shape
+        return self._runs is not None or self.kept or (cols > 1 and rows * cols >= _NETWORK_MIN_ENTRIES)
 
     def runs(self) -> list:
         if self._runs is None:
@@ -320,27 +317,14 @@ _NETWORKS = (
      (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6)),
 )
 
-# The networks cost about 0.25 ms per call whatever the input, so raw-id
-# sums run them only on wide matrices. Best of 40 calls on a 2-core Intel
-# Xeon (numpy 2.4), supports of 1 to 8 rows, value sort time over network
-# time: 100x104 0.86, 128x104 1.1, 512x16 1.3, 1024x16 1.8, 2048x16 4.3,
-# 2048x104 7.7; one column of 4,096 or 9,720 rows (softmax denominators)
-# 0.5-0.6. The bound keeps the sums of one-graph forwards (at most ~100
-# rows) on the value sort.
+# The networks cost about 0.25 ms per call whatever the input, so a plan
+# used once builds runs only for wide matrices. Best of 40 calls on a 2-core
+# Intel Xeon (numpy 2.4), supports of 1 to 8 rows, value sort time over
+# network time: 100x104 0.86, 128x104 1.1, 512x16 1.3, 1024x16 1.8, 2048x16
+# 4.3, 2048x104 7.7; one column of 4,096 or 9,720 rows (softmax
+# denominators) 0.5-0.6. The bound keeps the sums of one-graph forwards (at
+# most ~100 rows) on the value sort.
 _NETWORK_MIN_ENTRIES = 1 << 14
-
-# Numpy calls per run size of a run pass: two per comparator, one per lane
-# added, and a gather and a store; a longer size's block sort makes about 8.
-_RUN_CALLS = np.array([2 * len(net) + size + 2 for size, net in enumerate(_NETWORKS)] + [8])
-
-# Once a plan has its runs, a sum sorts by them when its entries reach this
-# many per numpy call of the plan's run pass (_RUN_CALLS over its run
-# sizes): a call costs far more than an entry. Best of 40 calls on a 2-core
-# Intel Xeon (numpy 2.4), run pass against value sort, on the layers' target
-# and support plans and the pooling plans of the three benchmark workloads
-# (one and several planted graphs, a 3,500-edge one-hot graph) at 1 to 128
-# columns: the two broke even at 20 to 40 entries per call in every plan.
-_ENTRIES_PER_RUN_CALL = 32
 
 
 def _sort_lanes(lanes: list[np.ndarray]) -> None:
@@ -428,23 +412,11 @@ def _holds_plus_zero(runs, axis: int) -> np.ndarray:
     return np.logical_or.reduce((runs == 0) & ~np.signbit(runs), axis=axis)
 
 
-def _network_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # a raw-id sum through runs built for this call alone
-    return _run_stats(data, counts, _runs(segments, counts))[0]
-
-
-def _segment_sums(data: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _sums(data: np.ndarray, plan: SegmentPlan) -> np.ndarray:
     # (segments, cols) sums of a (rows, cols) matrix in value-sorted order
-    if data.shape[1] > 1 and data.size >= _NETWORK_MIN_ENTRIES:
-        return _network_sums(data, segments, counts)
-    return _sorted_sums(*_sort_by_segment_and_value(data, segments, counts), counts)
-
-
-def _sums(data: np.ndarray, plan: SegmentPlan, planned: bool) -> np.ndarray:
-    # a call given a plan sums by its runs where they pay (sorts_by_runs)
-    if planned and plan.sorts_by_runs(data.size):
+    if plan.sorts_by_runs(data.shape):
         return _run_stats(data, plan.counts, plan.runs())[0]
-    return _segment_sums(data, plan.ids, plan.counts)
+    return _sorted_sums(*_sort_by_segment_and_value(data, plan.ids, plan.counts), plan.counts)
 
 
 def _sorted_max(data, segments, counts, ordered, starts, differentiable: bool):
@@ -473,9 +445,9 @@ def _sorted_max(data, segments, counts, ordered, starts, differentiable: bool):
     return out, gap, _first_winners(data, segments, out)
 
 
-def _maxima(data: np.ndarray, plan: SegmentPlan, planned: bool, differentiable: bool):
+def _maxima(data: np.ndarray, plan: SegmentPlan, differentiable: bool):
     # (sums, maxima, gap, first winners) of each segment, from one sort
-    if planned and plan.sorts_by_runs(data.size):
+    if plan.sorts_by_runs(data.shape):
         sums, top, gap = _run_stats(data, plan.counts, plan.runs(), maxima=True)
         if not differentiable:
             return sums, top, np.inf, None
@@ -838,15 +810,14 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
     flat_in = values.ndim == 1
     data = values.data[:, None] if flat_in else values.data
     rows, cols = data.shape
-    planned = isinstance(segments, SegmentPlan)
     plan = _plan(segments, num_segments, rows)
     segs, counts = plan.ids, plan.counts
     values_id = values.id
     gap, winners = np.inf, None
     if mode == "max":
-        _, out, gap, winners = _maxima(data, plan, planned, values.tape.differentiable)
+        _, out, gap, winners = _maxima(data, plan, values.tape.differentiable)
     else:
-        out = _sums(data, plan, planned)
+        out = _sums(data, plan)
         if mode == "mean":
             out = out / np.maximum(counts, 1)[:, None]
 
@@ -879,11 +850,10 @@ def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
     if values.ndim != 2:
         raise ValueError(f"segment_mean_max expects a matrix, got shape {values.shape}")
     rows, cols = values.shape
-    planned = isinstance(segments, SegmentPlan)
     plan = _plan(segments, num_segments, rows)
     segs = plan.ids
     data, values_id = values.data, values.id
-    sums, top, gap, winners = _maxima(data, plan, planned, values.tape.differentiable)
+    sums, top, gap, winners = _maxima(data, plan, values.tape.differentiable)
     divisor = np.maximum(plan.counts, 1)
     mean = sums / divisor[:, None]
 
@@ -911,10 +881,8 @@ def segment_softmax(logits: Tensor, segments) -> Tensor:
     """
     if logits.ndim != 1:
         raise ValueError(f"segment_softmax expects a flat tensor, got {logits.shape}")
-    planned = isinstance(segments, SegmentPlan)
-    if planned:
-        plan = segments
-    else:
+    plan = segments
+    if not isinstance(plan, SegmentPlan):
         ids = np.asarray(segments, dtype=np.int64)
         plan = SegmentPlan(ids, int(ids.max(initial=-1)) + 1)
     rows = plan.ids.size
@@ -927,10 +895,10 @@ def segment_softmax(logits: Tensor, segments) -> Tensor:
     mx = np.full(plan.num_segments * k, -np.inf)
     np.maximum.at(mx, flat, x)
     e = np.exp(x - mx[flat])
-    y = e / _sums(e.reshape(rows, k), plan, planned)[plan.ids].ravel()
+    y = e / _sums(e.reshape(rows, k), plan)[plan.ids].ravel()
 
     def backward(g, grads):
-        s = _sums((y * g).reshape(rows, k), plan, planned)
+        s = _sums((y * g).reshape(rows, k), plan)
         _acc(grads, logits_id, y * (g - s[plan.ids].ravel()))
 
     return logits.tape.record(y, backward)

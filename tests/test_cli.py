@@ -15,6 +15,11 @@ from relgat.models import config_hash
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _src_env():
+    # a subprocess imports relgat from this checkout
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+
+
 def _gen(tmp_path, name="data.json", seed=3, graphs=16, nodes=8):
     data = tmp_path / name
     rc = main(
@@ -209,6 +214,21 @@ def test_eval_reads_checkpoint(tmp_path, capsys):
     assert rc == 0
     constant_report = json.loads(capsys.readouterr().out)
     assert constant_report["constant_attention"] is True
+
+
+def test_eval_refuses_a_checkpoint_of_the_other_task_kind(tmp_path, capsys):
+    graph_data, node_data = _gen(tmp_path), _one_hot_node_data(tmp_path)
+    graph_run = _train(tmp_path, graph_data, "graph-run")
+    node_run = _train(tmp_path, node_data, "node-run")
+    cases = (
+        (node_data, graph_run, "a graph model, the dataset a node task"),
+        (graph_data, node_run, "a node model, the dataset a graph task"),
+    )
+    for data, run, want in cases:
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--checkpoint", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err
 
 
 def test_eval_matches_library_evaluation(tmp_path, capsys):
@@ -444,13 +464,12 @@ def test_train_reports_an_overflow_in_epoch_scoring_as_divergence(tmp_path, caps
 
 def test_an_overflowing_forward_prints_no_numpy_warning(tmp_path):
     data = _with_huge_validation_features(tmp_path, _gen(tmp_path))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     args = ["train", "--data", str(data), "--out", str(tmp_path / "o"), "--epochs", "2"]
     proc = subprocess.run(
         [sys.executable, "-W", "always", "-m", "relgat", *args, "--logit-mode", "multiplicative"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: training diverged at epoch 0")
@@ -618,6 +637,7 @@ def test_module_entry_point_reports_version():
         [sys.executable, "-m", "relgat", "--version"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert "relgat" in proc.stdout

@@ -47,6 +47,39 @@ def test_edges_canonicalized_regardless_of_input_order():
     assert list(t0) == [1, 1] and list(s0) == [0, 2]
 
 
+def test_graphs_and_labels_compare_their_arrays_by_value():
+    triples = [[0, 1, 2], [0, 1, 3], [0, 2, 0], [1, 0, 1], [1, 3, 2]]
+    a, b = (build_graph(4, 2, triples, _features(4, 3)) for _ in range(2))
+    a.edge_plan("wirgat")  # the plan memo is no field
+    assert a == b and b == a and not a != b
+    assert a != build_graph(4, 2, triples[:-1], _features(4, 3))
+    assert a != build_graph(4, 2, triples, _features(4, 3, seed=1))
+    assert a != build_graph(4, 2, triples, one_hot=True)
+    assert a != with_self_relation(a) and a != a.edges
+    assert batch_graphs([a, b]) == batch_graphs([b, a])
+    assert batch_graphs([a, b]) != batch_graphs([a])
+
+    def graph_labels(classes, weights=None):
+        return LabelSet(
+            kind="graph",
+            num_classes=2,
+            num_tasks=2,
+            graph_classes=np.array(classes),
+            class_weights=None if weights is None else np.array(weights, dtype=float),
+        )
+
+    classes = [[0, 1], [1, -1], [1, 0]]
+    assert graph_labels(classes) == graph_labels(classes)
+    assert graph_labels(classes) != graph_labels([[0, 1], [1, 0], [1, 0]])
+    assert graph_labels(classes) != graph_labels(classes[:2])
+    assert graph_labels(classes, [[1, 2], [3, 4]]) == graph_labels(classes, [[1, 2], [3, 4]])
+    assert graph_labels(classes, [[1, 2], [3, 4]]) != graph_labels(classes, [[1, 2], [3, 5]])
+    assert graph_labels(classes, [[1, 2], [3, 4]]) != graph_labels(classes)
+    node = LabelSet(kind="node", num_classes=2, node_classes={0: 1, 2: 0})
+    assert node == LabelSet(kind="node", num_classes=2, node_classes={2: 0, 0: 1})
+    assert node != LabelSet(kind="node", num_classes=2, node_classes={0: 1, 2: 1})
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(GraphFormatError, match="duplicate edge"):
         build_graph(3, 1, [[0, 1, 2], [0, 1, 2]], _features(3, 2))
@@ -382,7 +415,6 @@ def test_an_edge_plan_memo_holds_integer_arrays_only():
         plan = g.edge_plan(kind)
         assert g.edge_plan(kind) is plan
         plan.targets.runs()  # the lazily built part too
-        plan.supports.sorts_by_runs(1)
         for value in _plan_leaves(plan):
             assert not isinstance(value, (Tensor, Tape))
             if isinstance(value, np.ndarray):

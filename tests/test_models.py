@@ -218,6 +218,15 @@ def test_embed_dim_defaults_to_hidden_units():
     assert model.params["embed"].shape == (6, 12)
 
 
+@pytest.mark.parametrize("embed_dim", [0, -2])
+def test_node_classifier_refuses_an_embed_dim_below_one(embed_dim):
+    config = NodeClassifierConfig(
+        in_dim=6, num_relations=1, num_classes=2, one_hot=True, embed_dim=embed_dim
+    )
+    with pytest.raises(ValueError, match=f"embed_dim must be positive, got {embed_dim}"):
+        NodeClassifier(RNG(0), config)
+
+
 def test_node_l2_groups_cover_kernels_only():
     model = NodeClassifier(
         RNG(0),

@@ -42,10 +42,8 @@ from relgat.tensor import (
 )
 from relgat.tensor import (
     _NETWORKS,
-    _network_sums,
     _runs,
     _run_stats,
-    _segment_sums,
     _sort_by_segment_and_value,
     _sort_lanes,
     _sorted_sums,
@@ -519,7 +517,7 @@ def test_sorting_networks_keep_the_sign_of_every_zero(size):
 )
 def test_network_sums_equal_the_value_sorted_sums_bytewise(sizes, cols, kind, seed):
     # segment sizes 0 to 12: empty segments, the networks' 1 to 8 rows and
-    # the value sort's longer runs
+    # the block sort's longer runs
     rng = np.random.default_rng(seed)
     segments = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     shape = (segments.size, cols)
@@ -531,27 +529,48 @@ def test_network_sums_equal_the_value_sorted_sums_bytewise(sizes, cols, kind, se
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
     counts = np.bincount(segments, minlength=len(sizes))
     want = _sorted_sums(*_sort_by_segment_and_value(values, segments, counts), counts)
-    got = _network_sums(values, segments, counts)
+    got = _run_stats(values, counts, _runs(segments, counts))[0]
     assert got.tobytes() == want.tobytes()
-    assert _segment_sums(values, segments, counts).tobytes() == want.tobytes()
 
 
-def test_segment_sums_take_the_networks_only_for_wide_matrices(monkeypatch):
-    # a one-graph forward's sums (at most ~100 rows) and the one-column
-    # softmax sums keep the value sort
-    shapes = []
+def test_one_rule_dispatches_every_segment_sum_and_max(monkeypatch):
+    # raw ids are a plan of one call, so they and a fresh plan sort by runs
+    # only for a wide matrix of at least _NETWORK_MIN_ENTRIES entries (a
+    # one-graph forward's sums, at most ~100 rows, and the one-column
+    # softmax sums keep the value sort); a kept plan, or one whose runs are
+    # built, sorts by them at any size
+    paths = []
+    for name, path in (("_run_stats", "runs"), ("_sort_by_segment_and_value", "value")):
+        real = getattr(relgat.tensor, name)
+        monkeypatch.setattr(
+            relgat.tensor, name, lambda *a, real=real, path=path, **kw: paths.append(path) or real(*a, **kw)
+        )
 
-    def counted(data, segments, counts):
-        shapes.append(data.shape)
-        return _network_sums(data, segments, counts)
+    def path_of(segments, values, n):
+        taken = []
+        for mode in ("sum", "max"):
+            paths.clear()
+            segment_reduce(Tape(differentiable=False).leaf(values), segments, n, mode)
+            taken += paths
+        return taken
 
-    monkeypatch.setattr(relgat.tensor, "_network_sums", counted)
     rng = np.random.default_rng(0)
-    for rows, cols in ((100, 104), (40_000, 1), (2048, 16)):
-        segments = rng.integers(0, rows // 3, size=rows)
-        tape = Tape(differentiable=False)
-        segment_reduce(tape.leaf(rng.normal(size=(rows, cols))), segments, rows // 3, "sum")
-    assert shapes == [(2048, 16)]
+    for rows, cols, wide in ((100, 104, False), (40_000, 1, False), (2048, 16, True)):
+        n = rows // 3
+        segments = rng.integers(0, n, size=rows)
+        values = rng.normal(size=(rows, cols))
+        fresh, kept, built = (SegmentPlan(segments, n) for _ in range(3))
+        kept.kept = True
+        built.runs()
+        want = ["runs"] * 2 if wide else ["value"] * 2
+        assert path_of(segments, values, n) == want, (rows, cols)
+        assert path_of(fresh, values, n) == want, (rows, cols)
+        assert path_of(kept, values, n) == ["runs"] * 2, (rows, cols)
+        assert path_of(built, values, n) == ["runs"] * 2, (rows, cols)
+        # a wide sum builds runs the plan keeps, and every later sum uses them
+        assert (fresh._runs is not None) == wide
+        if wide:
+            assert path_of(fresh, values[:, :1], n) == ["runs"] * 2
 
 
 def _values(rng, kind, shape):
@@ -593,31 +612,28 @@ def test_planned_segment_ops_equal_raw_id_ops_bytewise(sizes, cols, kind, by_run
     plan = SegmentPlan(segments, n)
     plan.kept = by_runs
     out_weights = rng.normal(size=(n, cols))
-    with pytest.MonkeyPatch.context() as mp:
-        if by_runs:
-            mp.setattr(relgat.tensor, "_ENTRIES_PER_RUN_CALL", 0)
-        for mode in ("sum", "mean", "max"):
-            planned, raw = (
-                _segment_op_bytes(lambda v: segment_reduce(v, ids, n, mode), values, out_weights)
-                for ids in (plan, segments)
-            )
-            assert planned == raw, mode
-        # mean, max, kink gap and first winners (through the gradient)
-        weights = rng.normal(size=(n, 2 * cols))
+    for mode in ("sum", "mean", "max"):
         planned, raw = (
-            _segment_op_bytes(lambda v: segment_mean_max(v, ids, n), values, weights)
+            _segment_op_bytes(lambda v: segment_reduce(v, ids, n, mode), values, out_weights)
             for ids in (plan, segments)
         )
-        assert planned == raw
-        # a plan over rows of `cols` logits each against the ids id*cols + col
-        flat_ids = (segments[:, None] * cols + np.arange(cols)).ravel()
-        logits = values.ravel() * 1e-3
-        grad_weights = rng.normal(size=logits.size)
-        planned, raw = (
-            _segment_op_bytes(lambda v: segment_softmax(v, ids), logits, grad_weights)
-            for ids in (plan, flat_ids)
-        )
-        assert planned == raw
+        assert planned == raw, mode
+    # mean, max, kink gap and first winners (through the gradient)
+    weights = rng.normal(size=(n, 2 * cols))
+    planned, raw = (
+        _segment_op_bytes(lambda v: segment_mean_max(v, ids, n), values, weights)
+        for ids in (plan, segments)
+    )
+    assert planned == raw
+    # a plan over rows of `cols` logits each against the ids id*cols + col
+    flat_ids = (segments[:, None] * cols + np.arange(cols)).ravel()
+    logits = values.ravel() * 1e-3
+    grad_weights = rng.normal(size=logits.size)
+    planned, raw = (
+        _segment_op_bytes(lambda v: segment_softmax(v, ids), logits, grad_weights)
+        for ids in (plan, flat_ids)
+    )
+    assert planned == raw
     assert (plan._runs is not None) or not by_runs
 
 
