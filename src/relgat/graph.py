@@ -66,13 +66,15 @@ def _same(a, b) -> bool:
 
 
 def _fields_equal(self, other):
-    # the == of a dataclass whose fields hold numpy arrays
+    # the == of a dataclass whose fields hold numpy arrays; its class passes
+    # eq=False, so the dataclass adds no field hash and the class stays
+    # unhashable, as its arrays are
     if other.__class__ is not self.__class__:
         return NotImplemented
     return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelGraph:
     """Immutable multi-relational graph.
 
@@ -197,7 +199,7 @@ def _checked_features(features, num_nodes: int, feature_dim: int | None) -> np.n
     return feat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSet:
     """Supervision attached to a graph document.
 
@@ -287,7 +289,7 @@ class GraphTask:
     split: Split
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchedGraph:
     """Several graphs merged block-diagonally into one.
 

@@ -8,6 +8,7 @@ one generator consumed in a fixed order and evaluation never touches it.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,14 @@ __all__ = [
     "roc_auc",
     "train",
 ]
+
+
+# glibc's mallopt, or None where the C library has none
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+except (OSError, AttributeError, TypeError):
+    _mallopt = None
 
 
 class DivergenceError(RuntimeError):
@@ -212,7 +221,7 @@ class _NodeFit:
     def part(self, split: str):
         ids = _split_ids(self.task, split)
         classes = self.task.labels.node_classes
-        return ids, np.array([classes[int(i)] for i in ids], dtype=np.int64)
+        return ids, np.fromiter(map(classes.__getitem__, ids.tolist()), np.int64, ids.size)
 
     def forward(self, tape, leaves, part, *, rng=None, config=None, constant=False):
         g = self.task.graph
@@ -385,6 +394,11 @@ def train(model, task, config: TrainConfig) -> TrainResult:
     on the validation metric (accuracy for node tasks, mean AUC for graph
     tasks; minus the train loss without a validation split). The model is
     left holding the best parameters seen."""
+    if _mallopt is not None:
+        # a step frees its tape's intermediates at once; keep up to 64 MiB of
+        # them at the heap's top (M_TOP_PAD = -2) rather than trimming them
+        # back to the OS, where the next step would page-fault them in again
+        _mallopt(-2, 64 << 20)
     fit = _fit(model, task)
     # scored parts are built once; the parameters change, the graphs do not
     parts = [fit.part("train")]

@@ -80,6 +80,16 @@ def test_graphs_and_labels_compare_their_arrays_by_value():
     assert node != LabelSet(kind="node", num_classes=2, node_classes={0: 1, 2: 1})
 
 
+def test_graphs_batches_and_label_sets_are_unhashable_as_their_arrays_are():
+    g = build_graph(3, 1, [[0, 1, 2], [0, 2, 1]], _features(3, 2))
+    labels = LabelSet(kind="graph", num_classes=2, graph_classes=np.array([[0]]))
+    for value, name in ((g, "RelGraph"), (batch_graphs([g]), "BatchedGraph"), (labels, "LabelSet")):
+        with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+            hash(value)
+        with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+            value in set()
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(GraphFormatError, match="duplicate edge"):
         build_graph(3, 1, [[0, 1, 2], [0, 1, 2]], _features(3, 2))

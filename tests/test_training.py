@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli import _src_env
 
 from relgat import training
 from relgat.graph import (
@@ -402,6 +403,59 @@ def test_tapes_are_freed_without_the_cycle_collector(monkeypatch):
         assert [ref for ref in tapes if ref() is not None] == []
     finally:
         gc.enable()
+
+
+_FAULTS_OF_TWO_TRAINS = """
+import resource
+import numpy as np
+from relgat.graph import GraphTask, LabelSet, Split, generate_planted, with_self_relation
+from relgat.models import GraphClassifier, GraphClassifierConfig
+from relgat.training import TrainConfig, train
+
+pairs = generate_planted(1, 60, 16, 4, feature_dim=4, noise_edges=40)
+task = GraphTask(
+    tuple(with_self_relation(g) for g, _ in pairs),
+    LabelSet(kind="graph", num_classes=2, graph_classes=np.array([[y] for _, y in pairs])),
+    Split(train=tuple(range(36)), validation=tuple(range(36, 48)), test=tuple(range(48, 60))),
+)
+model = GraphClassifier(
+    np.random.default_rng(2),
+    GraphClassifierConfig(
+        feature_dim=4, num_relations=5, num_tasks=1, num_classes=2,
+        graph_units=104, dense_units=32, logit_mode="additive", norm_kind="wirgat",
+    ),
+)
+initial = model.params
+faults = []
+for _ in range(2):
+    model.params = initial
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(model, task, TrainConfig(epochs=3, patience=3))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(training._mallopt is None, reason="the C library has no mallopt, so its heap is trimmed as it likes")
+def test_a_second_train_faults_in_almost_none_of_the_memory_the_first_freed():
+    # a fresh process, so that no earlier test has grown or tuned the heap
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_OF_TWO_TRAINS], capture_output=True, text=True, check=True, env=_src_env()
+    )
+    warm_up, second = map(int, proc.stdout.split())
+    assert second < warm_up / 10, (warm_up, second)
+
+
+def test_a_node_part_holds_its_ids_classes_and_refuses_an_unlabelled_id():
+    model, task = _node_task()
+    ids, classes = training._NodeFit(model, task).part("test")
+    expected = np.array([task.labels.node_classes[int(i)] for i in ids], dtype=np.int64)
+    assert classes.dtype == np.int64 and classes.tobytes() == expected.tobytes()
+    node_classes = dict(task.labels.node_classes)
+    del node_classes[10]
+    unlabelled = dataclasses.replace(task, labels=dataclasses.replace(task.labels, node_classes=node_classes))
+    with pytest.raises(KeyError, match="10"):
+        training._NodeFit(model, unlabelled).part("test")
 
 
 def test_train_with_edge_dropout_keeps_plans_of_the_graphs_own_edges_only():
