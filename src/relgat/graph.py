@@ -108,15 +108,16 @@ class RelGraph:
     def edge_plan(self, norm_kind: str) -> EdgePlan:
         """The layers' plan of these edges for one normalization kind, built
         on first use and kept with the graph: the edges are read-only, so it
-        never goes stale. The memo is no field, so ==, repr, replace and
+        never goes stale, and a later forward builds its runs (a forward used
+        once builds none). The memo is no field, so ==, repr, replace and
         serialization ignore it, and pickles and copies leave it out."""
         plans = self.__dict__.setdefault("_plans", {})
         plan = plans.get(norm_kind)
         if plan is None:
             plan = plans[norm_kind] = EdgePlan(self.edges, self.num_nodes, norm_kind)
         else:
-            # a later forward over these edges: the plan is kept
-            plan.targets.kept = plan.supports.kept = True
+            plan.targets.runs()
+            plan.supports.runs()
         return plan
 
     def __getstate__(self):

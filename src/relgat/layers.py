@@ -87,12 +87,6 @@ def _edge_arrays(edges: Sequence[tuple[np.ndarray, np.ndarray]]):
     return np.concatenate(tgt), np.concatenate(src), rel
 
 
-def _support_keys(targets: np.ndarray, relations: np.ndarray, num_nodes: int, kind: str) -> np.ndarray:
-    """Softmax-support key of every edge: target + relation * num_nodes for
-    the (constant) wirgat kinds, the target alone for the argat kinds."""
-    return targets + relations * num_nodes if kind.endswith("wirgat") else targets
-
-
 def _normalize(logits: Tensor | None, support: SegmentPlan, heads: int):
     """Coefficients of every (edge, head), listed edge-major then head: a
     softmax of the logits within each (support, head), or without logits
@@ -109,9 +103,11 @@ class EdgePlan:
 
     Holds the row of every edge's target and source in its relation's slot
     of head 0 (head k adds k * relations * num_nodes), and the segment plans
-    of the targets and of the softmax supports (``_support_keys``), all
-    listed relation-major. Nothing in it depends on the head count, and it
-    holds integer arrays only.
+    of the targets and of the softmax supports, all listed relation-major.
+    An argat support is a target's whole neighbourhood, so its supports are
+    its targets' plan; a wirgat support is a (target, relation) pair, keyed
+    target + relation * num_nodes. Nothing in it depends on the head count,
+    and it holds integer arrays only.
     """
 
     __slots__ = ("num_nodes", "num_relations", "norm_kind", "target_rows", "source_rows", "targets", "supports")
@@ -120,13 +116,15 @@ class EdgePlan:
         if norm_kind not in COEFFICIENT_KINDS:
             raise ValueError(f"unknown normalization kind {norm_kind!r}")
         tgt, src, rel = _edge_arrays(edges)
+        if src.size and (src.min() < 0 or src.max() >= num_nodes):
+            raise ValueError(f"edge source out of range [0, {num_nodes})")
         self.num_nodes = num_nodes
         self.num_relations = len(edges)
         self.norm_kind = norm_kind.removeprefix("c-")
         self.targets = SegmentPlan(tgt, num_nodes)
-        keys = _support_keys(tgt, rel, num_nodes, norm_kind)
-        per_target = self.num_relations if self.norm_kind == "wirgat" else 1
-        self.supports = SegmentPlan(keys, num_nodes * per_target)
+        self.supports = self.targets
+        if self.norm_kind == "wirgat":
+            self.supports = SegmentPlan(tgt + rel * num_nodes, num_nodes * self.num_relations)
         self.target_rows = rel * num_nodes + tgt
         self.source_rows = rel * num_nodes + src
         self.target_rows.setflags(write=False)

@@ -32,7 +32,6 @@ from .tensor import (
     relu,
     reshape,
     row_softmax,
-    rowsum,
     segment_mean_max,
     sum_all,
     tanh,
@@ -88,12 +87,10 @@ def masked_cross_entropy(probs: Tensor, node_ids, classes) -> Tensor:
 def _nll(probs: Tensor, rows, classes: np.ndarray, factors) -> Tensor:
     """Mean of -factor * log(probs[row, class]) over the picked rows; the
     one loss body of both cross-entropies, checked by their callers."""
-    n = classes.size
-    onehot = np.zeros((n, probs.shape[1]))
-    onehot[np.arange(n), classes] = 1.0
-    logs = log(rowsum(mul(gather_rows(probs, rows), onehot)))
+    n, c = classes.size, probs.shape[1]
+    logs = log(gather_rows(reshape(probs, (probs.size, 1)), rows * c + classes))
     if factors is not None:
-        logs = mul(logs, factors)
+        logs = mul(logs, factors[:, None])
     return mul(sum_all(logs), -1.0 / n)
 
 

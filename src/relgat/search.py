@@ -15,7 +15,7 @@ import math
 import numbers
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -496,8 +496,9 @@ def run_sweep(
             _append_record(path, _trial(sweep, trial_id))
     else:
         with ProcessPoolExecutor(parallelism, initializer=_init_worker, initargs=(sweep,)) as pool:
+            # appended in trial order, so the file is the same at any parallelism
             futures = [pool.submit(_run_trial, trial_id) for trial_id in trials]
-            for fut in as_completed(futures):
+            for fut in futures:
                 _append_record(path, fut.result())
 
     records = [

@@ -219,7 +219,7 @@ class SegmentPlan:
     bytes its raw-id call gives.
     """
 
-    __slots__ = ("ids", "counts", "kept", "_runs")
+    __slots__ = ("ids", "counts", "_runs")
 
     def __init__(self, segments, num_segments: int):
         # the one id check and the one count of every segment op
@@ -232,8 +232,6 @@ class SegmentPlan:
         self.ids = ids.view()
         self.ids.setflags(write=False)
         self.counts.setflags(write=False)
-        # set by an owner that keeps the plan for later calls
-        self.kept = False
         self._runs = None
 
     @property
@@ -242,12 +240,12 @@ class SegmentPlan:
 
     def sorts_by_runs(self, shape: tuple[int, int]) -> bool:
         """The one dispatch rule of every segment sum and max over a
-        (rows, cols) matrix: sort by runs once the plan has them or its
-        owner keeps it, and else only where building them pays within the
-        call, a matrix of more than one column and at least
-        _NETWORK_MIN_ENTRIES entries. Every other sum takes the value sort."""
+        (rows, cols) matrix: sort by runs once the plan has them, and else
+        only where building them pays within the call, a matrix of more than
+        one column and at least _NETWORK_MIN_ENTRIES entries. Every other sum
+        takes the value sort."""
         rows, cols = shape
-        return self._runs is not None or self.kept or (cols > 1 and rows * cols >= _NETWORK_MIN_ENTRIES)
+        return self._runs is not None or (cols > 1 and rows * cols >= _NETWORK_MIN_ENTRIES)
 
     def runs(self) -> list:
         if self._runs is None:

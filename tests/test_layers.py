@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from relgat.graph import build_graph
 from relgat.layers import (
+    EdgePlan,
     RgatLayer,
     attention_coefficients,
     attention_logits,
@@ -443,6 +444,36 @@ def test_layer_rejects_features_for_another_node_count():
     tape = Tape()
     with pytest.raises(ValueError, match="rows for 5 nodes"):
         layer.forward(_leaves(tape, layer), g.edges, 5, tape.leaf(rng.normal(size=(6, 3))))
+
+
+def test_layer_refuses_an_edge_source_out_of_range():
+    # a source of N in relation 0 would read relation 1's row 0, and a
+    # source of -1 in relation 1 relation 0's last row
+    rng = RNG(15)
+    layer = RgatLayer(rng, "l", 3, 4, 1, 2)
+    tape = Tape()
+    h = tape.leaf(rng.normal(size=(5, 3)))
+    for edges in (
+        ((np.array([1]), np.array([5])), (np.array([2]), np.array([0]))),
+        ((np.array([1]), np.array([0])), (np.array([2]), np.array([-1]))),
+    ):
+        with pytest.raises(ValueError, match="edge source out of range"):
+            layer.forward(_leaves(tape, layer), edges, 5, h)
+
+
+@pytest.mark.parametrize("kind", ["argat", "c-argat", "wirgat", "c-wirgat"])
+def test_an_argat_plan_attends_over_the_targets_it_sums(kind):
+    # an argat support is a target's whole neighbourhood, so its plan is the
+    # targets' plan; a wirgat support is a (target, relation) pair
+    g = build_graph(5, 2, [[0, 1, 2], [0, 1, 3], [1, 1, 0], [1, 4, 2]], np.zeros((5, 1)))
+    plan = EdgePlan(g.edges, 5, kind)
+    if kind.endswith("argat"):
+        assert plan.supports is plan.targets
+    else:
+        assert plan.supports is not plan.targets
+        rel = np.repeat(np.arange(2), [len(t) for t, _ in g.edges])
+        assert np.array_equal(plan.supports.ids, plan.targets.ids + rel * 5)
+        assert plan.supports.num_segments == 10
 
 
 def test_layer_constant_mode_matches_explicit_constant_kinds():

@@ -20,7 +20,7 @@ from relgat.models import (
     save_checkpoint,
     weighted_cross_entropy,
 )
-from relgat.tensor import Tape, row_softmax
+from relgat.tensor import Tape, gather_rows, log, mul, row_softmax, rowsum, sum_all
 
 RNG = np.random.default_rng
 
@@ -78,6 +78,42 @@ def test_weighted_cross_entropy_frozen():
     loss = weighted_cross_entropy(probs, labels, weights)
     expected = -(np.log(0.8) + 2.0 * np.log(0.5)) / 2.0
     assert loss.data == pytest.approx(expected, abs=1e-15)
+
+    def onehot_chain(probs, rows, classes, factors):
+        # the loss body as a dense one-hot product and row sum
+        n = classes.size
+        onehot = np.zeros((n, probs.shape[1]))
+        onehot[np.arange(n), classes] = 1.0
+        logs = log(rowsum(mul(gather_rows(probs, rows), onehot)))
+        if factors is not None:
+            logs = mul(logs, factors)
+        return mul(sum_all(logs), -1.0 / n)
+
+    # the gathered loss gives the chain's bytes, with repeated rows and with
+    # class weights, in the loss and in the gradient of the softmax input
+    rng = RNG(3)
+    z = rng.normal(size=(6, 3)) * 3.0
+    labels = np.array([[0, 2], [-1, 1], [2, 2]])
+    gi, ti = np.nonzero(labels >= 0)
+    cls = labels[gi, ti]
+    weights = rng.uniform(0.5, 2.0, size=(2, 3))
+    cases = (
+        (lambda p: masked_cross_entropy(p, [4, 1, 4, 0, 1], [2, 0, 2, 1, 1]),
+         lambda p: onehot_chain(p, np.array([4, 1, 4, 0, 1]), np.array([2, 0, 2, 1, 1]), None)),
+        (lambda p: weighted_cross_entropy(p, labels, weights),
+         lambda p: onehot_chain(p, gi * 2 + ti, cls, weights[ti, cls])),
+    )
+    for loss_of in cases:
+        got = []
+        for fn in loss_of:
+            tape = Tape()
+            leaf = tape.leaf(z)
+            loss = fn(row_softmax(leaf))
+            got.append((loss.data.tobytes(), tape.backward(loss)[leaf].tobytes()))
+        assert got[0] == got[1]
+    # a true-class probability of 0 still fails as an overflow
+    with pytest.raises(OverflowError):
+        masked_cross_entropy(row_softmax(Tape().leaf(np.array([[0.0, 800.0]]))), [0], [0])
 
 
 def test_weighted_cross_entropy_skips_missing():

@@ -1,6 +1,7 @@
 """Priors, search-space serialization, and the resumable sweep runner."""
 
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -263,6 +264,27 @@ def test_parallel_sweep_submits_trial_ids_only(tmp_path, monkeypatch):
     run_sweep(task, _TINY_SPACE, 3, 9, tmp_path / "s.jsonl", overrides=budget)
     lines = {name: sorted((tmp_path / name).read_bytes().splitlines()) for name in ("p.jsonl", "s.jsonl")}
     assert lines["p.jsonl"] == lines["s.jsonl"]
+
+
+def test_parallel_sweep_writes_records_in_trial_order(tmp_path, monkeypatch):
+    # trial 0 finishes last; the pool forks after the patch, so its workers
+    # run the slowed trial too
+    real = search._trial
+
+    def slow_first(sweep, trial_id):
+        if trial_id == 0:
+            time.sleep(1.0)
+        return real(sweep, trial_id)
+
+    monkeypatch.setattr(search, "_trial", slow_first)
+    task = _tiny_task()
+    budget = {"epochs": 2, "patience": 2}
+    files = []
+    for name in ("a.jsonl", "b.jsonl"):
+        run_sweep(task, _TINY_SPACE, 3, 9, tmp_path / name, parallelism=2, overrides=budget)
+        files.append((tmp_path / name).read_bytes())
+    assert [json.loads(line)["trial"] for line in files[0].splitlines()] == [0, 1, 2]
+    assert files[0] == files[1]
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):

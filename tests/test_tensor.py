@@ -537,8 +537,8 @@ def test_one_rule_dispatches_every_segment_sum_and_max(monkeypatch):
     # raw ids are a plan of one call, so they and a fresh plan sort by runs
     # only for a wide matrix of at least _NETWORK_MIN_ENTRIES entries (a
     # one-graph forward's sums, at most ~100 rows, and the one-column
-    # softmax sums keep the value sort); a kept plan, or one whose runs are
-    # built, sorts by them at any size
+    # softmax sums keep the value sort); a plan whose runs are built sorts
+    # by them at any size
     paths = []
     for name, path in (("_run_stats", "runs"), ("_sort_by_segment_and_value", "value")):
         real = getattr(relgat.tensor, name)
@@ -559,13 +559,11 @@ def test_one_rule_dispatches_every_segment_sum_and_max(monkeypatch):
         n = rows // 3
         segments = rng.integers(0, n, size=rows)
         values = rng.normal(size=(rows, cols))
-        fresh, kept, built = (SegmentPlan(segments, n) for _ in range(3))
-        kept.kept = True
+        fresh, built = (SegmentPlan(segments, n) for _ in range(2))
         built.runs()
         want = ["runs"] * 2 if wide else ["value"] * 2
         assert path_of(segments, values, n) == want, (rows, cols)
         assert path_of(fresh, values, n) == want, (rows, cols)
-        assert path_of(kept, values, n) == ["runs"] * 2, (rows, cols)
         assert path_of(built, values, n) == ["runs"] * 2, (rows, cols)
         # a wide sum builds runs the plan keeps, and every later sum uses them
         assert (fresh._runs is not None) == wide
@@ -610,7 +608,8 @@ def test_planned_segment_ops_equal_raw_id_ops_bytewise(sizes, cols, kind, by_run
     segments = rng.permutation(np.repeat(np.arange(n), sizes))
     values = _values(rng, kind, (segments.size, cols))
     plan = SegmentPlan(segments, n)
-    plan.kept = by_runs
+    if by_runs:
+        plan.runs()
     out_weights = rng.normal(size=(n, cols))
     for mode in ("sum", "mean", "max"):
         planned, raw = (
