@@ -217,7 +217,8 @@ class RgatLayer:
 
     Parameters live as plain float64 arrays in ``self.params`` (a dict whose
     insertion order fixes the checkpoint layout). ``forward`` consumes leaf
-    tensors bound to some tape under the same names.
+    tensors bound to some tape under the same names, or under the names of
+    ``self.stacks`` for the parameters bound stacked.
     """
 
     def __init__(
@@ -305,6 +306,16 @@ class RgatLayer:
         if use_bias:
             for k in range(heads):
                 self.params[f"{name}.bias.k{k}"] = np.zeros(per_head)
+        # what a model binds as one leaf, by the leaf's name: each per-slot
+        # kernel kind with its slots head-major (slot k*R + r, the row
+        # blocks of _stacked_kernels), and the per-head biases in head order
+        self.stacks = {
+            f"{name}.{kind}": [f"{name}.{kind}.r{r}k{k}" for k in range(heads) for r in range(num_relations)]
+            for kind in ("w", "a")
+            if basis[kind] is None
+        }
+        if use_bias:
+            self.stacks[f"{name}.bias"] = [f"{name}.bias.k{k}" for k in range(heads)]
 
     def _kernel(self, kind: str) -> tuple[int | None, tuple[int, int]]:
         """Basis size and per-slot shape of the "w" or "a" kernels."""
@@ -329,15 +340,20 @@ class RgatLayer:
     def a_parameter_names(self) -> list[str]:
         return self._kernel_names("a")
 
+    def _stacked(self, leaves: dict[str, Tensor], key: str) -> Tensor:
+        """The leaf named key of self.stacks, or, where the caller bound
+        per slot, its parameters' leaves joined in the same row order."""
+        if key in leaves:
+            return leaves[key]
+        return concat_rows([leaves[name] for name in self.stacks[key]])
+
     def _stacked_kernels(self, leaves: dict[str, Tensor], kind: str) -> Tensor:
         """Every slot's kernel of one kind stacked row-wise head-major: slot
         k*R + r is row block k*R + r."""
         heads, relations = self.heads, self.num_relations
         basis, shape = self._kernel(kind)
         if basis is None:
-            return concat_rows(
-                [leaves[f"{self.name}.{kind}.r{r}k{k}"] for k in range(heads) for r in range(relations)]
-            )
+            return self._stacked(leaves, f"{self.name}.{kind}")
         # coefficient row r*K + k belongs to slot (r, k)
         order = (np.arange(heads)[:, None] + np.arange(relations) * heads).ravel()
         coeff = gather_rows(leaves[f"{self.name}.{kind}_coeff"], order)
@@ -395,7 +411,7 @@ class RgatLayer:
         messages = reshape(scale_rows(values, alpha), (plan.target_rows.size, heads * fp))
         out = segment_reduce(messages, plan.targets, num_nodes, "sum")
         if self.use_bias:
-            out = add(out, concat_rows([leaves[f"{self.name}.bias.k{k}"] for k in range(heads)]))
+            out = add(out, self._stacked(leaves, f"{self.name}.bias"))
         if self.head_agg == "mean":
             out = mul(sum_blocks(out, heads), 1.0 / heads)
         return _apply_activation(out, self.activation)

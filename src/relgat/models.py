@@ -7,13 +7,17 @@ concatenating attention layers, pools each graph by mean and max, and maps
 the pooled vector through two dense layers to per-task class probabilities.
 
 Both expose parameters as an ordered name -> float64 array dict, which also
-fixes the checkpoint layout.
+fixes the checkpoint layout. A model binds them to a tape with ``bind``:
+each layer's per-slot kernels of one kind, and its per-head biases, as one
+stacked leaf. ``bind_params`` binds one leaf per parameter instead; both
+give the same forward, bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -193,6 +197,23 @@ class _TwoLayerModel:
         )
         self.params.update(self.layer1.params)
         self.params.update(self.layer2.params)
+        self.stacks = {**self.layer1.stacks, **self.layer2.stacks}
+
+    def bind(self, tape: Tape, params: dict[str, np.ndarray], *, constant: bool = False) -> dict[str, Tensor]:
+        """The leaves of a forward: every group of self.stacks as one leaf,
+        its parameters joined row-wise in the group's order, and every other
+        parameter as its own leaf. A constant forward reads no A kernel, so
+        none is bound."""
+        bound = set()
+        if constant:
+            bound.update(self.layer1.a_parameter_names(), self.layer2.a_parameter_names())
+        leaves = {}
+        for key, names in self.stacks.items():
+            if names[0] not in bound:
+                leaves[key] = tape.leaf(np.concatenate([params[name] for name in names]))
+            bound.update(names)
+        leaves.update((name, tape.leaf(value)) for name, value in params.items() if name not in bound)
+        return leaves
 
     def _encode(self, leaves, edges, num_nodes: int, h: Tensor, constant: bool, dropout) -> Tensor:
         # both layers and their backwards share one plan of the edges
@@ -310,6 +331,8 @@ class GraphClassifier(_TwoLayerModel):
     then two dense layers producing one C-way distribution per task."""
 
     def __init__(self, rng: np.random.Generator, config: GraphClassifierConfig):
+        if config.dense_units < 1:
+            raise ValueError(f"dense_units must be positive, got {config.dense_units}")
         self.config = config
         self.params: dict[str, np.ndarray] = {}
         units = config.graph_units
@@ -398,12 +421,30 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
     raw = np.frombuffer((path / "params.bin").read_bytes(), dtype="<f8")
     if raw.size != total:
         raise ValueError(f"checkpoint holds {raw.size} values, manifest declares {total}")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise GraphFormatError("checkpoint parameters must be a list of entries")
     params = {}
+    # entries read params.bin in declaration order, no two the same values;
+    # a gap is left to the caller, which names the parameter it lacks
+    end = 0
     for entry in entries:
         try:
-            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+            name, shape, start = entry["name"], entry["shape"], entry["offset"]
         except KeyError as exc:
             raise GraphFormatError(f"checkpoint parameter entry lacks {exc.args[0]!r}") from None
-        size = int(np.prod(shape)) if shape else 1
-        params[name] = raw[start : start + size].reshape(shape).astype(np.float64)
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise GraphFormatError(f"checkpoint parameter {name!r} has shape {shape!r}, not a list of sizes")
+        if not _is_count(start) or start < end:
+            raise GraphFormatError(
+                f"checkpoint parameter {name!r} has offset {start!r}; it must be a count"
+                f" of at least {end}, where the entry before it ends"
+            )
+        end = start + math.prod(shape)
+        if end > raw.size:
+            raise GraphFormatError(f"checkpoint parameter {name!r} ends at {end}, past the {raw.size} values")
+        params[name] = raw[start:end].reshape(shape).astype(np.float64)
     return params, manifest
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

@@ -267,7 +267,7 @@ def build_model(task, hyper: dict, rng: np.random.Generator):
     sweep trial's sampled configuration plus its variant. hyper maps the
     search spaces' names, logit_mode, norm_kind and embed_dim to values;
     sizes it lacks take the flags' defaults, and embed_dim counts only for
-    one-hot features."""
+    one-hot features. A basis size for a graph task raises ValueError."""
     shared = {
         "heads": int(hyper.get("heads", 1)),
         "logit_mode": hyper["logit_mode"],
@@ -290,6 +290,8 @@ def build_model(task, hyper: dict, rng: np.random.Generator):
                 **shared,
             ),
         )
+    if hyper.get("basis_w") is not None or hyper.get("basis_a") is not None:
+        raise ValueError("basis_w and basis_a apply to node tasks only")
     graph0 = task.graphs[0]
     return GraphClassifier(
         rng,
@@ -348,7 +350,7 @@ def _trial(sweep: _Sweep, trial_id: int) -> dict:
         "status": "ok",
     }
     try:
-        record["objective"], record["metrics"] = _objective(sweep, config, model_seed, train_seed)
+        record["objective"], record["metrics"] = _objective(sweep, config, model_seed, train_seed, record)
     except DivergenceError as exc:
         record["status"] = "diverged"
         record["objective"] = None
@@ -356,17 +358,22 @@ def _trial(sweep: _Sweep, trial_id: int) -> dict:
     return record
 
 
-def _objective(sweep: _Sweep, config: dict, model_seed: int, train_seed: int):
+def _objective(sweep: _Sweep, config: dict, model_seed: int, train_seed: int, record: dict):
     """Trains the trial's model on the task, or for graph tasks with folds
     on each of the first fold_limit folds of train + validation, and
-    returns the objective with the record's metrics."""
+    returns the objective with the record's metrics. A node model's basis
+    sizes, as its layers clamp them to relations x heads, go into the
+    record as trained_basis before it trains."""
     task = sweep.task
     # a trial never sets embed_dim, even when its space names one
     hyper = {**config, **sweep.variant, "embed_dim": None}
     tcfg = _train_config(config, train_seed, sweep.overrides)
 
     def fit(on):
-        return train(build_model(on, hyper, np.random.default_rng(model_seed)), on, tcfg)
+        model = build_model(on, hyper, np.random.default_rng(model_seed))
+        if isinstance(model, NodeClassifier):
+            record["trained_basis"] = {"basis_w": model.layer1.basis_w, "basis_a": model.layer1.basis_a}
+        return train(model, on, tcfg)
 
     if isinstance(task, NodeTask) or not sweep.folds:
         result = fit(task)

@@ -18,7 +18,6 @@ from .graph import GraphTask, NodeTask, batch_graphs
 from .models import (
     GraphClassifier,
     NodeClassifier,
-    bind_params,
     inverse_frequency_weights,
     masked_cross_entropy,
     weighted_cross_entropy,
@@ -344,10 +343,18 @@ def _step(fit, params, state: AdamState, part, rng, config: TrainConfig) -> floa
     """One Adam step on a dropout forward's criterion plus the L2 penalty
     c*||p||^2, whose gradient 2c*p is added off the tape. Returns the loss."""
     tape = Tape()
-    leaves = bind_params(tape, params)
+    stacks = fit.model.stacks
+    leaves = fit.model.bind(tape, params)
     criterion = fit.criterion(fit.forward(tape, leaves, part, rng=rng, config=config), part)
     grad_map = tape.backward(criterion)
-    grads = {k: grad_map[leaves[k]] for k in params}
+    grads = {}
+    for key, leaf in leaves.items():
+        # a stacked gradient splits into the row blocks of its parameters,
+        # the views concat_rows's backward hands leaves bound per slot
+        g, start = grad_map[leaf], 0
+        for name in stacks.get(key, (key,)):
+            stop = start + len(params[name])
+            grads[name], start = g[start:stop], stop
     loss = criterion.data
     for group, names in fit.model.l2_groups().items():
         c = config.l2.get(group, 0.0)
@@ -364,7 +371,7 @@ def _step(fit, params, state: AdamState, part, rng, config: TrainConfig) -> floa
 def _clean_forward(fit, params, part, constant: bool) -> Tensor:
     """A forward without dropout that is only scored, never differentiated."""
     tape = Tape(differentiable=False)
-    return fit.forward(tape, bind_params(tape, params), part, constant=constant)
+    return fit.forward(tape, fit.model.bind(tape, params, constant=constant), part, constant=constant)
 
 
 # ---------------------------------------------------------------------------

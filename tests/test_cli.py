@@ -383,6 +383,57 @@ def test_eval_rejects_a_parameter_entry_without_a_field(tmp_path, capsys, field)
     assert repr(field) in err and "Traceback" not in err
 
 
+def _shape_not_a_list(manifest):
+    manifest["parameters"][0]["shape"] = 5
+
+
+def _parameters_as_an_object(manifest):
+    manifest["parameters"] = {e["name"]: e for e in manifest["parameters"]}
+
+
+def _offset_of_the_entry_before(manifest):
+    manifest["parameters"][1]["offset"] = manifest["parameters"][0]["offset"]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_shape_not_a_list, "not a list of sizes"),
+        (_parameters_as_an_object, "must be a list of entries"),
+        (_offset_of_the_entry_before, "where the entry before it ends"),
+    ],
+    ids=["shape-not-a-list", "parameters-as-an-object", "overlapping-offset"],
+)
+def test_eval_rejects_a_malformed_parameter_table(tmp_path, capsys, edit, message):
+    data = _gen(tmp_path)
+    out = _train(tmp_path, data, "run")
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--dense-units", "0"], "dense_units must be positive, got 0"),
+        (["--basis-w", "2"], "apply to node tasks only"),
+        (["--basis-a", "2"], "apply to node tasks only"),
+    ],
+)
+def test_train_refuses_an_option_a_graph_model_cannot_honour(tmp_path, capsys, flags, message):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "kind,field",
     [("node", "num_classes"), ("graph", "num_classes"), ("graph", "num_tasks"), ("graph", "graph_classes")],

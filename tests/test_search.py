@@ -22,6 +22,7 @@ from relgat.models import (
     GraphClassifierConfig,
     NodeClassifier,
     NodeClassifierConfig,
+    config_hash,
 )
 from relgat.search import (
     LogUniform,
@@ -325,6 +326,18 @@ def _self_relation_node_task():
     graph = with_self_relation(build_graph(n, 2, sorted(triples), one_hot=True))
     labels = LabelSet("node", 3, node_classes={i: int(c) for i, c in enumerate(rng.integers(3, size=n))})
     return NodeTask(graph, labels, Split(tuple(range(12)), tuple(range(12, 20)), tuple(range(20, n))))
+
+
+def test_a_sweep_record_names_the_basis_sizes_its_layers_clamped(tmp_path):
+    # 3 relations x 1 head: a drawn basis of 30 trains as 3; the record
+    # keeps the draw in its config and hash, so a resume still matches it
+    task = _self_relation_node_task()
+    space = {"hidden_units": OneOf(4), "heads": OneOf(1), "basis_w": OneOf(30), "basis_a": OneOf(None)}
+    with pytest.warns(UserWarning, match="clamping"):
+        (record,) = run_sweep(task, space, 1, 0, tmp_path / "r.jsonl", overrides={"epochs": 1, "patience": 1})
+    assert record["config"]["basis_w"] == 30
+    assert record["config_hash"] == config_hash(record["config"])
+    assert record["trained_basis"] == {"basis_w": 3, "basis_a": None}
 
 
 def _direct_model(task, config, seed):

@@ -527,6 +527,94 @@ def test_scoring_forward_equals_a_recorded_forward_bitwise(kind, constant):
     assert all(p.flags.writeable for p in model.params.values())
 
 
+@pytest.mark.parametrize("use_bias", [True, False])
+@pytest.mark.parametrize("basis", [None, 2])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+@pytest.mark.parametrize("logit_mode", ["additive", "multiplicative"])
+@pytest.mark.parametrize("norm_kind", ["wirgat", "argat"])
+def test_stacked_binding_equals_per_slot_binding_bitwise(norm_kind, logit_mode, heads, basis, use_bias, monkeypatch):
+    # layer 1 concatenates its heads and layer 2 averages them; random
+    # parameters, biases included, so that every slot's rows differ
+    model, task = _node_task(
+        hidden=6,
+        heads=heads,
+        logit_mode=logit_mode,
+        norm_kind=norm_kind,
+        basis_w=basis,
+        basis_a=basis,
+        use_bias=use_bias,
+    )
+    rng = RNG(heads)
+    params = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
+    fit = training._fit(model, task)
+    part = fit.part("train")
+    a_leaves = {"layer1.a", "layer2.a", *model.l2_groups()["layer1_a"], *model.l2_groups()["layer2_a"]}
+    for constant in (False, True):
+        tape = Tape()
+        per_slot = fit.forward(tape, bind_params(tape, params), part, constant=constant)
+        tape = Tape()
+        leaves = model.bind(tape, params, constant=constant)
+        stacked = fit.forward(tape, leaves, part, constant=constant)
+        assert stacked.data.tobytes() == per_slot.data.tobytes()
+        scored = training._clean_forward(fit, params, part, constant)
+        assert scored.data.tobytes() == per_slot.data.tobytes()
+        assert bool(a_leaves & leaves.keys()) is not constant
+
+    tape = Tape()
+    slot_leaves = bind_params(tape, params)
+    grad_map = tape.backward(fit.criterion(fit.forward(tape, slot_leaves, part), part))
+    handed = {}
+    monkeypatch.setattr(training, "adam_step", lambda p, grads, state, lr: handed.update(grads))
+    training._step(fit, params, AdamState(params), part, None, TrainConfig())
+    assert handed.keys() == params.keys()
+    for name in params:
+        assert handed[name].tobytes() == grad_map[slot_leaves[name]].tobytes(), name
+
+
+def test_a_step_binds_each_kernel_kind_and_the_biases_as_one_leaf(monkeypatch):
+    # the planted-graph benchmark's model: 4 relations plus self, 2 heads
+    pairs = generate_planted(0, 8, 20, 4, feature_dim=4, noise_edges=60)
+    labels = LabelSet(
+        kind="graph",
+        num_classes=2,
+        num_tasks=1,
+        graph_classes=np.array([[y] for _, y in pairs], dtype=np.int64),
+    )
+    split = Split(train=tuple(range(6)), validation=(6,), test=(7,))
+    task = GraphTask(tuple(with_self_relation(g) for g, _ in pairs), labels, split)
+    config = GraphClassifierConfig(
+        feature_dim=4,
+        num_relations=5,
+        num_tasks=1,
+        num_classes=2,
+        graph_units=16,
+        dense_units=16,
+        heads=2,
+        logit_mode="multiplicative",
+        norm_kind="argat",
+    )
+    model = GraphClassifier(RNG(1), config)
+    fit = training._fit(model, task)
+    part = fit.part("train")
+    tape = Tape()
+    fit.criterion(fit.forward(tape, bind_params(tape, model.params), part), part)
+    recorded = []
+
+    class CountingTape(Tape):
+        def backward(self, loss):
+            recorded.append(self.num_recorded)
+            return super().backward(loss)
+
+    monkeypatch.setattr(training, "Tape", CountingTape)
+    params = {k: v.copy() for k, v in model.params.items()}
+    training._step(fit, params, AdamState(params), part, None, TrainConfig())
+    # 40 W and A slot leaves and 4 bias leaves become 6 stacked leaves, and
+    # the 6 concat_rows that joined them go
+    slots = sum(len(names) for names in model.stacks.values())
+    assert (slots, len(model.stacks)) == (44, 6)
+    assert (tape.num_recorded, recorded) == (98, [98 - slots])
+
+
 @pytest.mark.parametrize("kind", ["node", "graph"])
 def test_scoring_forward_draws_no_dropout_mask(kind, monkeypatch):
     drawn = []
