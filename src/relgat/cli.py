@@ -129,7 +129,14 @@ def _write_metrics(path: Path, history: list[dict]) -> None:
 def _cmd_train(args) -> int:
     task = parse_dataset(Path(args.data).read_text())
     kind = "node" if isinstance(task, NodeTask) else "graph"
-    hyper = {**vars(args), "use_bias": not args.no_bias}
+    ignored = {"node": ("graph_units", "dense_units"), "graph": ("hidden_units", "embed_dim")}[kind]
+    given = " or ".join("--" + n.replace("_", "-") for n in ignored if getattr(args, n) is not None)
+    if given:
+        raise ValueError(f"a {kind} task takes no {given}")
+    if args.embed_dim is not None and not task.graph.one_hot_features:
+        raise ValueError("--embed-dim applies to one-hot node features only")
+    # a width left unset takes build_model's default
+    hyper = {**{k: v for k, v in vars(args).items() if v is not None}, "use_bias": not args.no_bias}
     model = build_model(task, hyper, np.random.default_rng(args.seed))
     tcfg = _train_config(hyper, args.seed, {"epochs": args.epochs, "patience": args.patience})
     result = train(model, task, tcfg)
@@ -313,10 +320,11 @@ def _parser() -> argparse.ArgumentParser:
     t.add_argument("--logit-mode", choices=["additive", "multiplicative"], default="additive")
     t.add_argument("--norm-kind", choices=["wirgat", "argat"], default="wirgat")
     t.add_argument("--heads", type=int, default=1)
-    t.add_argument("--hidden-units", type=int, default=16)
-    t.add_argument("--embed-dim", type=int, default=None)
-    t.add_argument("--graph-units", type=int, default=32)
-    t.add_argument("--dense-units", type=int, default=64)
+    # widths default to None, so that a flag the task kind ignores is seen
+    t.add_argument("--hidden-units", type=int, default=None, help="node tasks; default 16")
+    t.add_argument("--embed-dim", type=int, default=None, help="node tasks with one-hot features")
+    t.add_argument("--graph-units", type=int, default=None, help="graph tasks; default 32")
+    t.add_argument("--dense-units", type=int, default=None, help="graph tasks; default 64")
     t.add_argument("--basis-w", type=int, default=None)
     t.add_argument("--basis-a", type=int, default=None)
     t.add_argument("--no-bias", action="store_true")

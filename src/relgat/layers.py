@@ -20,11 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .tensor import (
+    LEAKY_SLOPE,
     SegmentPlan,
     Tensor,
     add,
     block_matmul,
     concat_rows,
+    edge_attention,
+    edge_messages,
     gather_rows,
     leaky_relu,
     matmul,
@@ -52,8 +55,6 @@ __all__ = [
     "glorot",
     "rgcn_forward",
 ]
-
-LEAKY_SLOPE = 0.2
 
 LOGIT_MODES = ("additive", "multiplicative")
 NORM_KINDS = ("wirgat", "argat")
@@ -131,13 +132,6 @@ class EdgePlan:
         self.source_rows.setflags(write=False)
 
 
-def _edge_logits(qe: Tensor, ke: Tensor, mode: str) -> Tensor:
-    """One logit per row of the gathered target queries and source keys."""
-    if mode == "additive":
-        return leaky_relu(reshape(add(qe, ke), (qe.shape[0],)), LEAKY_SLOPE)
-    return rowsum(mul(qe, ke))
-
-
 def attention_logits(g: Tensor, targets, sources, kernel: Tensor, mode: str) -> Tensor:
     """Edge logits for one relation from projected features.
 
@@ -156,9 +150,11 @@ def attention_logits(g: Tensor, targets, sources, kernel: Tensor, mode: str) -> 
         raise ValueError("additive logits require attention dim 1")
     tgt = np.asarray(targets, dtype=np.int64)
     src = np.asarray(sources, dtype=np.int64)
-    q = matmul(g, slice_rows(kernel, 0, fp))
-    k = matmul(g, slice_rows(kernel, fp, 2 * fp))
-    return _edge_logits(gather_rows(q, tgt), gather_rows(k, src), mode)
+    qe = gather_rows(matmul(g, slice_rows(kernel, 0, fp)), tgt)
+    ke = gather_rows(matmul(g, slice_rows(kernel, fp, 2 * fp)), src)
+    if mode == "additive":
+        return leaky_relu(reshape(add(qe, ke), (qe.shape[0],)), LEAKY_SLOPE)
+    return rowsum(mul(qe, ke))
 
 
 @dataclass(frozen=True)
@@ -398,18 +394,16 @@ class RgatLayer:
         src_rows = (plan.source_rows[:, None] + head_base).ravel()
 
         g = block_matmul(h, self._stacked_kernels(leaves, "w"), slots, shared="x")
-        logits = None
-        if not constant:
+        if constant:
+            alpha = _normalize(None, plan.supports, heads)
+        else:
             a = self._stacked_kernels(leaves, "a")
-            # the query and key products precede the message gather, so each
-            # slot's feature gradient adds up in the order a per-slot loop has
+            # the query and key products precede the messages, so each slot's
+            # feature gradient adds up in the order a per-slot loop has
             query = block_matmul(g, a, slots, window=(0, fp))
             key = block_matmul(g, a, slots, window=(fp, 2 * fp))
-            logits = _edge_logits(gather_rows(query, tgt_rows), gather_rows(key, src_rows), self.logit_mode)
-        alpha = _normalize(logits, plan.supports, heads)
-        values = gather_rows(g, src_rows)
-        messages = reshape(scale_rows(values, alpha), (plan.target_rows.size, heads * fp))
-        out = segment_reduce(messages, plan.targets, num_nodes, "sum")
+            alpha = edge_attention(query, key, tgt_rows, src_rows, self.logit_mode, plan.supports)
+        out = edge_messages(g, alpha, src_rows, plan.targets, num_nodes, heads)
         if self.use_bias:
             out = add(out, self._stacked(leaves, f"{self.name}.bias"))
         if self.head_agg == "mean":

@@ -5,9 +5,10 @@ matrices, so shapes are restricted to ndim <= 2. Every tensor is float64 so
 finite-difference checks are meaningful.
 
 Every public op validates its inputs, checks the result for non-finite
-entries (raising OverflowError otherwise), and records a backward closure on
-the tape. ``Tape.backward`` walks the recorded ops once, in reverse order,
-and frees each op's output gradient as soon as that op's backward has run.
+entries (raising OverflowError, which names the op, otherwise), and records
+a backward closure on the tape. ``Tape.backward`` walks the recorded ops
+once, in reverse order, and frees each op's output gradient as soon as that
+op's backward has run.
 A tape made with ``differentiable=False`` records nothing and serves
 forwards that are only scored; it keeps every finite check.
 
@@ -26,6 +27,7 @@ import numpy as np
 __all__ = [
     "GradientMap",
     "KinkError",
+    "LEAKY_SLOPE",
     "SegmentPlan",
     "Tape",
     "Tensor",
@@ -33,6 +35,8 @@ __all__ = [
     "block_matmul",
     "concat_cols",
     "concat_rows",
+    "edge_attention",
+    "edge_messages",
     "gather_rows",
     "grad_check",
     "leaky_relu",
@@ -53,6 +57,9 @@ __all__ = [
     "sum_squares",
     "tanh",
 ]
+
+LEAKY_SLOPE = 0.2  # the leaky ReLU slope of every additive attention logit
+
 
 class KinkError(RuntimeError):
     """A finite-difference check sits on a non-smooth point even after shifting."""
@@ -141,8 +148,9 @@ class Tape:
             self._leaves.append((t.id, arr.shape))
         return t
 
-    def record(self, out: np.ndarray, backward: Callable, kink_gap: float = np.inf) -> Tensor:
-        t = Tensor(self, self._next_id(), _frozen(np.asarray(out, dtype=np.float64), "op result"))
+    def record(self, name: str, out: np.ndarray, backward: Callable, kink_gap: float = np.inf) -> Tensor:
+        """The result of the op called name; only an error message keeps the name."""
+        t = Tensor(self, self._next_id(), _frozen(np.asarray(out, dtype=np.float64), "op result", name))
         if self.differentiable:
             self._ops.append((t.id, backward))
             self._kink_gap = min(self._kink_gap, float(kink_gap))
@@ -175,12 +183,12 @@ class Tape:
         return GradientMap(out)
 
 
-def _frozen(arr: np.ndarray, what: str) -> np.ndarray:
+def _frozen(arr: np.ndarray, what: str, op: str | None = None) -> np.ndarray:
     # the one shape and finite check of every leaf and op result
     if arr.ndim > 2:
         raise ValueError(f"tensors are at most 2-D, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
-        raise OverflowError(f"non-finite entries in {what}")
+        raise OverflowError(f"non-finite entries in {what}" + (f" of {op}" if op else ""))
     arr.setflags(write=False)
     return arr
 
@@ -377,13 +385,13 @@ def _run_stats(data: np.ndarray, counts: np.ndarray, runs: list, maxima: bool = 
     gap = np.inf
     for size, which, rows in runs:
         if size < len(_NETWORKS):
-            lanes = list(data[rows])
+            lanes = list(data.take(rows, axis=0))
             _sort_lanes(lanes)
             total = lanes[0] + sum(lanes[1:], -0.0)
             last, below = lanes[-1], lanes[-2] if size > 1 else None
             held, axis = lanes, 0
         else:
-            run = data[rows]
+            run = data.take(rows, axis=0)
             block = run.transpose(0, 2, 1).copy()
             block.sort(axis=2)
             total = np.add.reduceat(block, [0], axis=2)[:, :, 0]
@@ -484,7 +492,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _acc(grads, a_id, g @ b_data.T)
         _acc(grads, b_id, a_data.T @ g)
 
-    return tape.record(out, backward)
+    return tape.record("matmul", out, backward)
 
 
 def block_matmul(
@@ -551,7 +559,7 @@ def block_matmul(
             np.matmul(x3.transpose(0, 2, 1), g3, out=gw[:, start:stop])
             _acc(grads, w_id, gw.reshape(blocks * p, m))
 
-    return tape.record(out, backward)
+    return tape.record("block_matmul", out, backward)
 
 
 def sum_blocks(a: Tensor, blocks: int) -> Tensor:
@@ -567,7 +575,7 @@ def sum_blocks(a: Tensor, blocks: int) -> Tensor:
     def backward(g, grads):
         _acc(grads, a_id, np.tile(g, (1, blocks)))
 
-    return a.tape.record(out, backward)
+    return a.tape.record("sum_blocks", out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -582,7 +590,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _acc(grads, a_id, g)
         _acc(grads, b_id, g.sum(axis=0) if row else g)
 
-    return tape.record(a.data + b.data, backward)
+    return tape.record("add", a.data + b.data, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -598,7 +606,7 @@ def mul(a: Tensor, b) -> Tensor:
             _acc(grads, a_id, g * b_data)
             _acc(grads, b_id, g * a_data)
 
-        return tape.record(out, backward)
+        return tape.record("mul", out, backward)
 
     const = np.asarray(b, dtype=np.float64)
     if const.ndim != 0 and const.shape != a.shape:
@@ -608,25 +616,30 @@ def mul(a: Tensor, b) -> Tensor:
     def backward(g, grads):
         _acc(grads, a_id, g * const)
 
-    return a.tape.record(out, backward)
+    return a.tape.record("mul", out, backward)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
     """Elementwise max(x, slope*x). The subgradient at exactly 0 is slope."""
     if not 0.0 <= slope < 1.0:
         raise ValueError(f"slope must lie in [0, 1), got {slope}")
-    a_id, x = a.id, a.data
-    out = np.where(x > 0, x, slope * x)
-    # a scoring tape keeps no kink gap and runs no backward
-    gap, factor = np.inf, None
-    if a.tape.differentiable:
-        gap = float(np.min(np.abs(x))) if x.size else np.inf
-        factor = np.where(x > 0, 1.0, slope)
+    a_id = a.id
+    out, gap, factor = _leaky(a.data, slope, a.tape.differentiable)
 
     def backward(g, grads):
         _acc(grads, a_id, g * factor)
 
-    return a.tape.record(out, backward, kink_gap=gap)
+    return a.tape.record("leaky_relu", out, backward, kink_gap=gap)
+
+
+def _leaky(x: np.ndarray, slope: float, differentiable: bool):
+    # max(x, slope*x), and for a backward its kink gap and factor; a scoring
+    # tape keeps no kink gap and runs no backward
+    out = np.where(x > 0, x, slope * x)
+    if not differentiable:
+        return out, np.inf, None
+    gap = float(np.min(np.abs(x))) if x.size else np.inf
+    return out, gap, np.where(x > 0, 1.0, slope)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -640,7 +653,7 @@ def tanh(a: Tensor) -> Tensor:
     def backward(g, grads):
         _acc(grads, a_id, g * (1.0 - out * out))
 
-    return a.tape.record(out, backward)
+    return a.tape.record("tanh", out, backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -651,7 +664,7 @@ def log(a: Tensor) -> Tensor:
     def backward(g, grads):
         _acc(grads, a_id, g / a_data)
 
-    return a.tape.record(out, backward)
+    return a.tape.record("log", out, backward)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -659,17 +672,21 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         raise ValueError(f"gather_rows expects a matrix, got shape {a.shape}")
     idx = _index_array(indices, a.shape[0], "row indices")
     a_id, shape = a.id, a.shape
-    out = a.data[idx]
+    out = a.data.take(idx, axis=0)
 
     def backward(g, grads):
-        # one bincount over (row, col) cells adds each gathered row into a
-        # zero buffer in input order, as np.add.at would, bit for bit
-        rows, cols = shape
-        cells = (idx[:, None] * cols + np.arange(cols)).ravel()
-        buf = np.bincount(cells, weights=np.asarray(g).ravel(), minlength=rows * cols)
-        _acc(grads, a_id, buf.reshape(shape))
+        _acc(grads, a_id, _scatter_rows(g, idx, shape))
 
-    return a.tape.record(out, backward)
+    return a.tape.record("gather_rows", out, backward)
+
+
+def _scatter_rows(g, idx: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    # the gradient of a row gather: one bincount over (row, col) cells adds
+    # each gathered row into a zero buffer in input order, as np.add.at
+    # would, bit for bit
+    rows, cols = shape
+    cells = (idx[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(cells, weights=np.asarray(g).ravel(), minlength=rows * cols).reshape(shape)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -684,7 +701,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         buf[start:stop] = g
         _acc(grads, a_id, buf)
 
-    return a.tape.record(out, backward)
+    return a.tape.record("slice_rows", out, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -694,7 +711,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g, grads):
         _acc(grads, a_id, np.asarray(g).reshape(in_shape))
 
-    return a.tape.record(out, backward)
+    return a.tape.record("reshape", out, backward)
 
 
 def _split_backward(parts: Sequence[Tensor], sizes: list[int], axis: int) -> Callable:
@@ -717,7 +734,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if any(p.ndim not in (1, 2) for p in parts) or len({p.shape[1:] for p in parts}) != 1:
         raise ValueError("concat_rows expects flat tensors, or matrices with equal column counts")
     out = np.concatenate([p.data for p in parts])
-    return tape.record(out, _split_backward(parts, [p.shape[0] for p in parts], 0))
+    return tape.record("concat_rows", out, _split_backward(parts, [p.shape[0] for p in parts], 0))
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -728,7 +745,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if any(p.ndim != 2 for p in parts) or len(rows) != 1:
         raise ValueError("concat_cols expects matrices with equal row counts")
     out = np.concatenate([p.data for p in parts], axis=1)
-    return tape.record(out, _split_backward(parts, [p.shape[1] for p in parts], 1))
+    return tape.record("concat_cols", out, _split_backward(parts, [p.shape[1] for p in parts], 1))
 
 
 def rowsum(a: Tensor) -> Tensor:
@@ -740,7 +757,7 @@ def rowsum(a: Tensor) -> Tensor:
     def backward(g, grads):
         _acc(grads, a_id, np.broadcast_to(g[:, None], shape))
 
-    return a.tape.record(out, backward)
+    return a.tape.record("rowsum", out, backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -750,7 +767,7 @@ def sum_all(a: Tensor) -> Tensor:
     def backward(g, grads):
         _acc(grads, a_id, np.broadcast_to(g, shape))
 
-    return a.tape.record(out, backward)
+    return a.tape.record("sum_all", out, backward)
 
 
 def sum_squares(a: Tensor) -> Tensor:
@@ -760,37 +777,35 @@ def sum_squares(a: Tensor) -> Tensor:
     def backward(g, grads):
         _acc(grads, a_id, 2.0 * g * a_data)
 
-    return a.tape.record(out, backward)
+    return a.tape.record("sum_squares", out, backward)
 
 
 def scale_rows(m: Tensor, v) -> Tensor:
     """Multiplies row i of m by v[i]. v may be a Tensor or a constant array."""
     if m.ndim != 2:
         raise ValueError(f"scale_rows expects a matrix, got shape {m.shape}")
-    m_id, m_data = m.id, m.data
-    if isinstance(v, Tensor):
-        tape = _check_tape(m, v)
-        if v.ndim != 1 or v.size != m.shape[0]:
-            raise ValueError(f"row scale shape mismatch: {m.shape} vs {v.shape}")
-        v_id, column = v.id, v.data[:, None]
-        out = m_data * column
-
-        def backward(g, grads):
-            _acc(grads, m_id, g * column)
-            _acc(grads, v_id, (g * m_data).sum(axis=1))
-
-        return tape.record(out, backward)
-
-    c = np.asarray(v, dtype=np.float64)
-    if c.ndim != 1 or c.size != m.shape[0]:
-        raise ValueError(f"row scale shape mismatch: {m.shape} vs {c.shape}")
-    column = c[:, None]
-    out = m_data * column
+    tape, column, v_id = _row_scale(m, v, m.shape[0])
+    # a constant scale keeps no input for its backward
+    m_id, m_data = m.id, None if v_id is None else m.data
 
     def backward(g, grads):
         _acc(grads, m_id, g * column)
+        if v_id is not None:
+            _acc(grads, v_id, (g * m_data).sum(axis=1))
 
-    return m.tape.record(out, backward)
+    return tape.record("scale_rows", m.data * column, backward)
+
+
+def _row_scale(m: Tensor, v, rows: int):
+    # the tape, the scales as a column and the id (None for a constant
+    # array) of a scale per row of m, a Tensor or a constant array
+    if isinstance(v, Tensor):
+        tape, c, v_id = _check_tape(m, v), v.data, v.id
+    else:
+        tape, c, v_id = m.tape, np.asarray(v, dtype=np.float64), None
+    if c.shape != (rows,):
+        raise ValueError(f"row scale shape mismatch: {rows} rows vs {c.shape}")
+    return tape, c[:, None], v_id
 
 
 def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum") -> Tensor:
@@ -833,7 +848,7 @@ def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum
                 pulled = pulled / np.maximum(counts, 1)[segs, None]
         _acc(grads, values_id, pulled[:, 0] if flat_in else pulled)
 
-    return values.tape.record(out[:, 0] if flat_in else out, backward, kink_gap=gap)
+    return values.tape.record("segment_reduce", out[:, 0] if flat_in else out, backward, kink_gap=gap)
 
 
 def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
@@ -862,9 +877,9 @@ def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
         buf = np.zeros((rows, cols))
         buf[win_rows, win_cols] = g[win_segs, cols + win_cols]
         _acc(grads, values_id, buf)
-        _acc(grads, values_id, g[segs, :cols] / divisor[segs, None])
+        _acc(grads, values_id, g[:, :cols].take(segs, axis=0) / divisor[segs, None])
 
-    return values.tape.record(np.concatenate([mean, top], axis=1), backward, kink_gap=gap)
+    return values.tape.record("segment_mean_max", np.concatenate([mean, top], axis=1), backward, kink_gap=gap)
 
 
 def segment_softmax(logits: Tensor, segments) -> Tensor:
@@ -879,27 +894,41 @@ def segment_softmax(logits: Tensor, segments) -> Tensor:
     """
     if logits.ndim != 1:
         raise ValueError(f"segment_softmax expects a flat tensor, got {logits.shape}")
+    plan, k = _softmax_plan(segments, logits.size)
+    logits_id = logits.id
+    y = _softmax(logits.data, plan, k)
+
+    def backward(g, grads):
+        _acc(grads, logits_id, _softmax_grad(y, g, plan, k))
+
+    return logits.tape.record("segment_softmax", y, backward)
+
+
+def _softmax_plan(segments, size: int) -> tuple[SegmentPlan, int]:
+    # the plan of a softmax over size logits, and how many logits per row
     plan = segments
     if not isinstance(plan, SegmentPlan):
         ids = np.asarray(segments, dtype=np.int64)
         plan = SegmentPlan(ids, int(ids.max(initial=-1)) + 1)
     rows = plan.ids.size
-    k = max(logits.size // rows, 1) if rows else 1
-    if rows * k != logits.size:
-        raise ValueError(f"segment ids cover {rows} rows, values have {logits.size}")
-    logits_id, x = logits.id, logits.data
+    k = max(size // rows, 1) if rows else 1
+    if rows * k != size:
+        raise ValueError(f"segment ids cover {rows} rows, values have {size}")
+    return plan, k
+
+
+def _softmax(x: np.ndarray, plan: SegmentPlan, k: int) -> np.ndarray:
     # a max is exact in any order, so it needs no runs: one pass over flat ids
     flat = plan.ids if k == 1 else (plan.ids[:, None] * k + np.arange(k)).ravel()
     mx = np.full(plan.num_segments * k, -np.inf)
     np.maximum.at(mx, flat, x)
     e = np.exp(x - mx[flat])
-    y = e / _sums(e.reshape(rows, k), plan)[plan.ids].ravel()
+    return e / _sums(e.reshape(-1, k), plan).take(plan.ids, axis=0).ravel()
 
-    def backward(g, grads):
-        s = _sums((y * g).reshape(rows, k), plan)
-        _acc(grads, logits_id, y * (g - s[plan.ids].ravel()))
 
-    return logits.tape.record(y, backward)
+def _softmax_grad(y: np.ndarray, g: np.ndarray, plan: SegmentPlan, k: int) -> np.ndarray:
+    s = _sums((y * g).reshape(-1, k), plan)
+    return y * (g - s.take(plan.ids, axis=0).ravel())
 
 
 def row_softmax(m: Tensor) -> Tensor:
@@ -915,7 +944,84 @@ def row_softmax(m: Tensor) -> Tensor:
         s = (y * g).sum(axis=1, keepdims=True)
         _acc(grads, m_id, y * (g - s))
 
-    return m.tape.record(y, backward)
+    return m.tape.record("row_softmax", y, backward)
+
+
+# ---------------------------------------------------------------------------
+# fused edge ops: each runs the numpy expressions of the primitive chain it
+# replaces and adds its gradients in that chain's order, so values, kink
+# gaps and gradients are the same bytes
+
+
+def edge_attention(query: Tensor, key: Tensor, target_rows, source_rows, mode: str, supports) -> Tensor:
+    """``segment_softmax`` over supports of the additive logits
+    ``leaky_relu(qe + ke)`` (one column) or the multiplicative ones
+    ``rowsum(qe * ke)``, with qe and ke the query rows target_rows and the
+    key rows source_rows, as one op. The logits are checked too: the
+    softmax would turn a -inf into a finite weight of 0.
+    """
+    tape = _check_tape(query, key)
+    if mode not in ("additive", "multiplicative"):
+        raise ValueError(f"unknown logit mode {mode!r}")
+    if query.ndim != 2 or key.ndim != 2 or query.shape[1] != key.shape[1]:
+        raise ValueError(f"edge_attention expects matrices of equal width, got {query.shape}, {key.shape}")
+    if mode == "additive" and query.shape[1] != 1:
+        raise ValueError("additive logits read one column")
+    tgt = _index_array(target_rows, query.shape[0], "target rows")
+    src = _index_array(source_rows, key.shape[0], "source rows")
+    if tgt.size != src.size:
+        raise ValueError(f"{tgt.size} target rows for {src.size} source rows")
+    plan, k = _softmax_plan(supports, tgt.size)
+    q_id, q_shape, k_id, k_shape = query.id, query.shape, key.id, key.shape
+    qe, ke = query.data.take(tgt, axis=0), key.data.take(src, axis=0)
+    gap, factor = np.inf, None
+    if mode == "additive":
+        x, gap, factor = _leaky((qe + ke).reshape(tgt.size), LEAKY_SLOPE, tape.differentiable)
+        del qe, ke  # the backward reads the factor alone
+    else:
+        x = (qe * ke).sum(axis=1)
+    y = _softmax(_frozen(x, "logits", "edge_attention"), plan, k)
+
+    def backward(g, grads):
+        gx = _softmax_grad(y, g, plan, k)
+        if factor is not None:
+            gq = gk = (gx * factor).reshape(tgt.size, 1)
+        else:
+            gx = np.broadcast_to(gx[:, None], ke.shape)
+            gq, gk = gx * ke, gx * qe
+        _acc(grads, k_id, _scatter_rows(gk, src, k_shape))
+        _acc(grads, q_id, _scatter_rows(gq, tgt, q_shape))
+
+    return tape.record("edge_attention", y, backward, kink_gap=gap)
+
+
+def edge_messages(g: Tensor, coefficients, source_rows, targets, num_nodes: int, heads: int) -> Tensor:
+    """The rows source_rows of g (edge-major, then head) scaled by the
+    coefficients, a Tensor or a constant array, and summed per target as
+    one op: (num_nodes, heads * cols). Only the sums are checked: every
+    message enters one, so a non-finite message cannot hide.
+    """
+    if g.ndim != 2 or heads < 1:
+        raise ValueError(f"edge_messages expects a matrix and heads >= 1, got {g.shape}, {heads}")
+    src = _index_array(source_rows, g.shape[0], "source rows")
+    edges, cols = src.size // heads, g.shape[1]
+    if edges * heads != src.size:
+        raise ValueError(f"{src.size} source rows do not split into {heads} heads")
+    plan = _plan(targets, num_nodes, edges)
+    tape, column, c_id = _row_scale(g, coefficients, src.size)
+    g_id, shape = g.id, g.shape
+    values = g.data.take(src, axis=0)
+    out = _sums((values * column).reshape(edges, heads * cols), plan)
+    if c_id is None:
+        del values  # constant coefficients take no gradient
+
+    def backward(grad, grads):
+        pulled = grad.take(plan.ids, axis=0).reshape(src.size, cols)
+        _acc(grads, g_id, _scatter_rows(pulled * column, src, shape))
+        if c_id is not None:
+            _acc(grads, c_id, (pulled * values).sum(axis=1))
+
+    return tape.record("edge_messages", out, backward)
 
 
 # ---------------------------------------------------------------------------

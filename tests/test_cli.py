@@ -66,6 +66,9 @@ def test_gen_deterministic(tmp_path):
 
 def _train(tmp_path, data, out_name, seed=1, extra=()):
     out = tmp_path / out_name
+    # the graph widths, for a graph task only: a node task refuses them
+    graph_task = json.loads(Path(data).read_text())["labels"]["kind"] == "graph"
+    widths = ["--graph-units", "8", "--dense-units", "8"] if graph_task else []
     rc = main(
         [
             "train",
@@ -79,10 +82,7 @@ def _train(tmp_path, data, out_name, seed=1, extra=()):
             "3",
             "--patience",
             "3",
-            "--graph-units",
-            "8",
-            "--dense-units",
-            "8",
+            *widths,
             *extra,
         ]
     )
@@ -128,6 +128,18 @@ def _one_hot_node_data(tmp_path):
     split = Split(train=tuple(range(6)), validation=(6, 7, 8), test=(9, 10, 11))
     data = tmp_path / "onehot.json"
     data.write_text(serialize_dataset(NodeTask(build_graph(n, 2, triples, one_hot=True), labels, split)))
+    return data
+
+
+def _dense_node_data(tmp_path):
+    from relgat.graph import LabelSet, NodeTask, Split, build_graph, serialize_dataset
+
+    n = 6
+    feats = np.array([[0.5 * i, 1.0 - 0.1 * i] for i in range(n)])
+    graph = build_graph(n, 1, [[0, i, (i + 1) % n] for i in range(n)], feats)
+    labels = LabelSet(kind="node", num_classes=2, node_classes={i: i % 2 for i in range(n)})
+    data = tmp_path / "dense.json"
+    data.write_text(serialize_dataset(NodeTask(graph, labels, Split(train=(0, 1), validation=(2, 3), test=(4, 5)))))
     return data
 
 
@@ -427,6 +439,26 @@ def test_eval_rejects_a_malformed_parameter_table(tmp_path, capsys, edit, messag
 )
 def test_train_refuses_an_option_a_graph_model_cannot_honour(tmp_path, capsys, flags, message):
     data = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,flags,message",
+    [
+        ("graph", ["--hidden-units", "0", "--embed-dim", "-4"], "a graph task takes no --hidden-units or --embed-dim"),
+        ("graph", ["--embed-dim", "3"], "a graph task takes no --embed-dim\n"),
+        ("node", ["--dense-units", "0", "--graph-units", "3"], "a node task takes no --graph-units or --dense-units"),
+        ("node", ["--graph-units", "8"], "a node task takes no --graph-units\n"),
+        # build_model embeds one-hot features only, so a dense task would drop it
+        ("dense node", ["--embed-dim", "4"], "--embed-dim applies to one-hot node features only"),
+    ],
+)
+def test_train_refuses_a_width_flag_the_task_kind_ignores(tmp_path, capsys, kind, flags, message):
+    data = {"graph": _gen, "node": _one_hot_node_data, "dense node": _dense_node_data}[kind](tmp_path)
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"), *flags]) == 2
     err = capsys.readouterr().err

@@ -20,6 +20,8 @@ from relgat.tensor import (
     block_matmul,
     concat_cols,
     concat_rows,
+    edge_attention,
+    edge_messages,
     gather_rows,
     grad_check,
     leaky_relu,
@@ -1056,3 +1058,132 @@ def test_sum_blocks_adds_left_to_right_and_tiles_the_gradient():
     assert np.array_equal(grads[a], np.tile(readout, (1, 3)))
     with pytest.raises(ValueError, match="column blocks"):
         sum_blocks(a, 4)
+
+
+# ---------------------------------------------------------------------------
+# fused edge ops against the primitive chains they replace
+
+
+def _edge_forward(fused, mode, learned, heads, plan, g0, wq0, wk0, weights, alpha_weights):
+    # the layer's edge path from projected features g: queries and keys as
+    # products of g, coefficients, messages, and a loss that reads both the
+    # messages and the coefficients, so that g and the coefficients each
+    # sum gradients from more than one op
+    tape = Tape()
+    g, wq, wk = tape.leaf(g0), tape.leaf(wq0), tape.leaf(wk0)
+    tgt_rows = (plan.target_rows[:, None] + np.arange(heads) * (g0.shape[0] // heads)).ravel()
+    src_rows = (plan.source_rows[:, None] + np.arange(heads) * (g0.shape[0] // heads)).ravel()
+    edges, cols = plan.target_rows.size, g0.shape[1]
+    alpha = np.repeat(1.0 / plan.supports.counts[plan.supports.ids], heads)
+    if learned:
+        query, key = matmul(g, wq), matmul(g, wk)
+        if fused:
+            alpha = edge_attention(query, key, tgt_rows, src_rows, mode, plan.supports)
+        else:
+            qe, ke = gather_rows(query, tgt_rows), gather_rows(key, src_rows)
+            if mode == "additive":
+                logits = leaky_relu(reshape(add(qe, ke), (qe.shape[0],)), 0.2)
+            else:
+                logits = rowsum(mul(qe, ke))
+            alpha = segment_softmax(logits, plan.supports)
+    if fused:
+        out = edge_messages(g, alpha, src_rows, plan.targets, plan.num_nodes, heads)
+    else:
+        messages = reshape(scale_rows(gather_rows(g, src_rows), alpha), (edges, heads * cols))
+        out = segment_reduce(messages, plan.targets, plan.num_nodes, "sum")
+    loss = sum_all(mul(out, weights))
+    if learned:
+        loss = add(loss, sum_all(mul(alpha, alpha_weights)))
+    grads = tape.backward(loss)
+    alpha_bytes = alpha.data.tobytes() if learned else b""
+    leaf_grads = [grads[t].tobytes() for t in (g, wq, wk)]
+    return out.data.tobytes(), alpha_bytes, leaf_grads, tape.min_kink_gap(), tape.num_recorded
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["additive", "multiplicative"]),
+    st.sampled_from(["wirgat", "argat"]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    st.integers(1, 7),
+    st.sampled_from(["coarse", "gaussian"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_edge_ops_equal_the_primitive_chain_bytewise(
+    mode, kind, heads, learned, sizes, n, values, by_runs, seed
+):
+    # empty relations, singleton supports, ties and exact zeros (a coarse
+    # grid puts additive logits on the leaky ReLU's kink) all occur; by_runs
+    # makes every sum sort by runs
+    from relgat.layers import EdgePlan
+
+    rng = np.random.default_rng(seed)
+    edges = [(rng.integers(n, size=size), rng.integers(n, size=size)) for size in sizes]
+    plan = EdgePlan(edges, n, kind)
+    if by_runs:
+        plan.targets.runs()
+        plan.supports.runs()
+    cols, dim = 3, 1 if mode == "additive" else 2
+    slots = heads * len(sizes)
+
+    def draw(shape):
+        if values == "coarse":
+            return rng.integers(-2, 3, size=shape) / 2.0
+        return rng.normal(size=shape)
+
+    g0, wq0, wk0 = draw((slots * n, cols)), draw((cols, dim)), draw((cols, dim))
+    weights, alpha_weights = rng.normal(size=(n, heads * cols)), rng.normal(size=plan.target_rows.size * heads)
+    args = (mode, learned, heads, plan, g0, wq0, wk0, weights, alpha_weights)
+    fused, chain = _edge_forward(True, *args), _edge_forward(False, *args)
+    assert fused[:4] == chain[:4]
+    # 2 fused ops for 10 (additive) or 9 (multiplicative) learned ones, 1
+    # for the 4 constant ones
+    assert chain[4] - fused[4] == ((8 if mode == "additive" else 7) if learned else 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("differentiable", [True, False])
+def test_a_logit_overflowing_under_a_finite_softmax_raises(differentiable):
+    # node 0 attends to sources 0 and 1: q0*k0 overflows to -inf, q0*k1 is
+    # finite, so the softmax reads (0, 1), finite, and would hide the -inf
+    tape = Tape(differentiable=differentiable)
+    query, key = tape.leaf([[1e200], [1.0]]), tape.leaf([[-1e200], [1.0]])
+    logits = query.data[[0, 0], 0] * key.data[[0, 1], 0]
+    assert logits[0] == -np.inf and np.isfinite(np.exp(logits - logits.max())).all()
+    rows, ids = np.array([0, 0]), np.array([0, 0])
+    with pytest.raises(OverflowError, match="non-finite entries in logits of edge_attention"):
+        edge_attention(query, key, rows, np.array([0, 1]), "multiplicative", ids)
+    # the additive sum overflows in the same way
+    with pytest.raises(OverflowError, match="logits of edge_attention"):
+        edge_attention(tape.leaf([[-1e308]]), tape.leaf([[-1e308], [1.0]]), rows, np.array([0, 1]), "additive", ids)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_an_op_result_error_names_the_op():
+    tape = Tape(differentiable=False)
+    with pytest.raises(OverflowError, match="non-finite entries in op result of matmul"):
+        matmul(tape.leaf([[1e300]]), tape.leaf([[1e300]]))
+    g = tape.leaf([[1e308], [1e308]])
+    with pytest.raises(OverflowError, match="non-finite entries in op result of edge_messages"):
+        edge_messages(g, np.ones(2), np.array([0, 1]), np.array([0, 0]), 1, 1)
+
+
+def test_fused_edge_ops_refuse_misaligned_inputs():
+    tape = Tape()
+    q, g = tape.leaf(np.ones((3, 1))), tape.leaf(np.ones((3, 2)))
+    rows = np.array([0, 1, 2])
+    with pytest.raises(ValueError, match="unknown logit mode"):
+        edge_attention(q, q, rows, rows, "dot", rows)
+    with pytest.raises(ValueError, match="additive logits read one column"):
+        edge_attention(g, g, rows, rows, "additive", rows)
+    with pytest.raises(ValueError, match="source rows out of range"):
+        edge_attention(q, q, rows, rows + 1, "additive", rows)
+    with pytest.raises(ValueError, match="3 target rows for 2 source rows"):
+        edge_attention(q, q, rows, rows[:2], "additive", rows)
+    with pytest.raises(ValueError, match="do not split into 2 heads"):
+        edge_messages(g, np.ones(3), rows, rows, 3, 2)
+    with pytest.raises(ValueError, match=r"row scale shape mismatch: 3 rows vs \(2,\)"):
+        edge_messages(g, np.ones(2), rows, rows, 3, 1)
