@@ -64,6 +64,11 @@ def _split_indices(n: int, seed: int, train_frac: float, val_frac: float) -> Spl
 
 
 def _cmd_gen(args) -> int:
+    for flag, frac in (("--train-frac", args.train_frac), ("--val-frac", args.val_frac)):
+        if not 0.0 <= frac <= 1.0:  # NaN fails too
+            raise ValueError(f"{flag} must lie in [0, 1], got {frac}")
+    if args.train_frac + args.val_frac > 1.0:
+        raise ValueError(f"--train-frac {args.train_frac} and --val-frac {args.val_frac} add up to more than 1")
     pairs = generate_planted(
         args.seed,
         args.graphs,

@@ -386,7 +386,7 @@ class RgatLayer:
                 f"edge plan is for {plan.num_nodes} nodes and {plan.norm_kind!r} supports,"
                 f" the layer runs {num_nodes} and {self.norm_kind!r}"
             )
-        heads, fp = self.heads, self.per_head
+        heads = self.heads
         slots = relations * heads
         # slot row of each (edge, head), listed edge-major then head
         head_base = np.arange(heads) * (relations * num_nodes)
@@ -397,12 +397,10 @@ class RgatLayer:
         if constant:
             alpha = _normalize(None, plan.supports, heads)
         else:
+            # attention precedes the messages, so each slot's feature
+            # gradient adds up in the order a per-slot loop has
             a = self._stacked_kernels(leaves, "a")
-            # the query and key products precede the messages, so each slot's
-            # feature gradient adds up in the order a per-slot loop has
-            query = block_matmul(g, a, slots, window=(0, fp))
-            key = block_matmul(g, a, slots, window=(fp, 2 * fp))
-            alpha = edge_attention(query, key, tgt_rows, src_rows, self.logit_mode, plan.supports)
+            alpha = edge_attention(g, a, tgt_rows, src_rows, self.logit_mode, plan.supports)
         out = edge_messages(g, alpha, src_rows, plan.targets, num_nodes, heads)
         if self.use_bias:
             out = add(out, self._stacked(leaves, f"{self.name}.bias"))

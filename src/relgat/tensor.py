@@ -501,15 +501,13 @@ def block_matmul(
     blocks: int,
     *,
     shared: str | None = None,
-    window: tuple[int, int] | None = None,
 ) -> Tensor:
     """Many small matrix products as one op: block b of the result is x_b @ w_b.
 
     Blocks are stacked row-wise: the result is (blocks*n, m) with block b in
     rows b*n:(b+1)*n. x is blocked, (blocks*n, f) with x_b its b-th row
     block, or one (n, f) matrix shared by every block (shared="x"). w is
-    blocked, (blocks*p, m) with w_b its b-th row block of height p, or rows
-    start:stop of it for window=(start, stop); or w is one (f, m) kernel
+    blocked, (blocks*f, m) with w_b its b-th row block, or one (f, m) kernel
     shared by every block (shared="w").
 
     All blocks run as one ``np.matmul`` over (blocks, rows, cols) views, a
@@ -526,22 +524,11 @@ def block_matmul(
         raise ValueError(f"block_matmul expects matrices and blocks >= 1, got {x.shape}, {w.shape}")
     n = x.shape[0] if shared == "x" else x.shape[0] // blocks
     f, m = x.shape[1], w.shape[1]
-    p = f if shared == "w" else w.shape[0] // blocks
-    start, stop = window or (0, p)
-    if (
-        (shared != "x" and x.shape[0] != blocks * n)
-        or (shared != "w" and w.shape[0] != blocks * p)
-        or (shared == "w" and (window or w.shape[0] != f))
-        or not 0 <= start <= stop <= p
-        or stop - start != f
-    ):
-        raise ValueError(
-            f"block_matmul shape mismatch: {x.shape} @ {w.shape} in {blocks} blocks,"
-            f" kernel rows {window}"
-        )
+    if (shared != "x" and x.shape[0] != blocks * n) or w.shape[0] != (f if shared == "w" else blocks * f):
+        raise ValueError(f"block_matmul shape mismatch: {x.shape} @ {w.shape} in {blocks} blocks")
     x_id, w_id = x.id, w.id
     x3 = x.data[None] if shared == "x" else x.data.reshape(blocks, n, f)
-    w3 = w.data[None] if shared == "w" else w.data.reshape(blocks, p, m)[:, start:stop]
+    w3 = w.data[None] if shared == "w" else w.data.reshape(blocks, f, m)
     out = np.matmul(x3, w3).reshape(blocks * n, m)
 
     def backward(g, grads):
@@ -555,9 +542,7 @@ def block_matmul(
             for b in reversed(range(blocks)):
                 _acc(grads, w_id, x3[b].T @ g3[b])
         else:
-            gw = np.zeros((blocks, p, m))
-            np.matmul(x3.transpose(0, 2, 1), g3, out=gw[:, start:stop])
-            _acc(grads, w_id, gw.reshape(blocks * p, m))
+            _acc(grads, w_id, np.matmul(x3.transpose(0, 2, 1), g3).reshape(blocks * f, m))
 
     return tape.record("block_matmul", out, backward)
 
@@ -953,44 +938,81 @@ def row_softmax(m: Tensor) -> Tensor:
 # gaps and gradients are the same bytes
 
 
-def edge_attention(query: Tensor, key: Tensor, target_rows, source_rows, mode: str, supports) -> Tensor:
-    """``segment_softmax`` over supports of the additive logits
-    ``leaky_relu(qe + ke)`` (one column) or the multiplicative ones
+def edge_attention(g: Tensor, kernel: Tensor, target_rows, source_rows, mode: str, supports) -> Tensor:
+    """Attention coefficients of the edges between slot rows of g, as one op.
+
+    g stacks every slot's projected features, (slots*N, F') with slot s in
+    rows s*N to (s+1)*N, and kernel every slot's attention kernel,
+    (slots*2F', D), whose top F' rows map to queries and bottom F' to keys.
+    Queries and keys are one ``np.matmul`` each over (slots, N, F') views,
+    the BLAS calls a loop of per-slot ``matmul`` ops makes. The op returns
+    ``segment_softmax`` over supports of the additive logits
+    ``leaky_relu(qe + ke)`` (D = 1) or the multiplicative ones
     ``rowsum(qe * ke)``, with qe and ke the query rows target_rows and the
-    key rows source_rows, as one op. The logits are checked too: the
-    softmax would turn a -inf into a finite weight of 0.
+    key rows source_rows. Queries, keys and logits are checked too: the
+    softmax would turn a -inf logit into a finite weight of 0.
+
+    Gradients add as that loop's backwards add them, keys before queries.
+    With D = 1 every product has one term, so only the rows of g whose query
+    or key gradient is nonzero are multiplied; every other row gets +0.0,
+    as np.matmul's one-term products give it.
     """
-    tape = _check_tape(query, key)
+    tape = _check_tape(g, kernel)
     if mode not in ("additive", "multiplicative"):
         raise ValueError(f"unknown logit mode {mode!r}")
-    if query.ndim != 2 or key.ndim != 2 or query.shape[1] != key.shape[1]:
-        raise ValueError(f"edge_attention expects matrices of equal width, got {query.shape}, {key.shape}")
-    if mode == "additive" and query.shape[1] != 1:
+    if g.ndim != 2 or kernel.ndim != 2:
+        raise ValueError(f"edge_attention expects matrices, got {g.shape}, {kernel.shape}")
+    fp, dim = g.shape[1], kernel.shape[1]
+    slots = kernel.shape[0] // (2 * fp) if fp else 0
+    if slots < 1 or kernel.shape[0] != slots * 2 * fp or g.shape[0] % slots:
+        raise ValueError(f"edge_attention expects slot-stacked features and kernels, got {g.shape}, {kernel.shape}")
+    if mode == "additive" and dim != 1:
         raise ValueError("additive logits read one column")
-    tgt = _index_array(target_rows, query.shape[0], "target rows")
-    src = _index_array(source_rows, key.shape[0], "source rows")
+    n = g.shape[0] // slots
+    tgt = _index_array(target_rows, g.shape[0], "target rows")
+    src = _index_array(source_rows, g.shape[0], "source rows")
     if tgt.size != src.size:
         raise ValueError(f"{tgt.size} target rows for {src.size} source rows")
     plan, k = _softmax_plan(supports, tgt.size)
-    q_id, q_shape, k_id, k_shape = query.id, query.shape, key.id, key.shape
-    qe, ke = query.data.take(tgt, axis=0), key.data.take(src, axis=0)
+    g_id, g_shape, a_id, a_shape = g.id, g.shape, kernel.id, kernel.shape
+    g3, a3 = g.data.reshape(slots, n, fp), kernel.data.reshape(slots, 2 * fp, dim)
+    shape = (slots * n, dim)
+    qe = _frozen(np.matmul(g3, a3[:, :fp]).reshape(shape), "queries", "edge_attention").take(tgt, axis=0)
+    ke = _frozen(np.matmul(g3, a3[:, fp:]).reshape(shape), "keys", "edge_attention").take(src, axis=0)
     gap, factor = np.inf, None
     if mode == "additive":
         x, gap, factor = _leaky((qe + ke).reshape(tgt.size), LEAKY_SLOPE, tape.differentiable)
-        del qe, ke  # the backward reads the factor alone
+        qe = ke = None  # the backward reads the factor alone
     else:
         x = (qe * ke).sum(axis=1)
     y = _softmax(_frozen(x, "logits", "edge_attention"), plan, k)
 
-    def backward(g, grads):
-        gx = _softmax_grad(y, g, plan, k)
-        if factor is not None:
-            gq = gk = (gx * factor).reshape(tgt.size, 1)
-        else:
-            gx = np.broadcast_to(gx[:, None], ke.shape)
-            gq, gk = gx * ke, gx * qe
-        _acc(grads, k_id, _scatter_rows(gk, src, k_shape))
-        _acc(grads, q_id, _scatter_rows(gq, tgt, q_shape))
+    def backward(grad, grads):
+        gx = _softmax_grad(y, grad, plan, k)
+        gx = (gx * factor)[:, None] if factor is not None else np.broadcast_to(gx[:, None], (tgt.size, dim))
+        out = None
+        if dim == 1:
+            # np.matmul's one-term product of row r is +0.0 + full[r] * w, so
+            # a row whose gradient is 0 adds +0.0; once cur + 0.0 has turned
+            # every -0.0 into +0.0, that +0.0 changes nothing, in later adds too
+            cur = grads.get(g_id)
+            out = np.zeros(g_shape) if cur is None else cur + 0.0
+        # keys first, as the per-slot products' backwards add them; a logit
+        # q . k sends gx * q to its key and gx * k to its query
+        for rows, other, start in ((src, qe, fp), (tgt, ke, 0)):
+            full = _scatter_rows(gx if other is None else gx * other, rows, shape)
+            gw = np.zeros((slots, 2 * fp, dim))
+            np.matmul(g3.transpose(0, 2, 1), full.reshape(slots, n, dim), out=gw[:, start:start + fp])
+            _acc(grads, a_id, gw.reshape(a_shape))
+            w = a3[:, start:start + fp]
+            if out is None:
+                # a product of many terms takes its bytes from the dense BLAS call
+                _acc(grads, g_id, np.matmul(full.reshape(slots, n, dim), w.transpose(0, 2, 1)).reshape(g_shape))
+            else:
+                read = np.flatnonzero(full)
+                out[read] += full[read] * w[read // n, :, 0]
+        if out is not None:
+            grads[g_id] = out
 
     return tape.record("edge_attention", y, backward, kink_gap=gap)
 

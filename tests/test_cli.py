@@ -64,6 +64,35 @@ def test_gen_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        # would leave the validation and test splits empty
+        (["--train-frac", "0.99", "--val-frac", "0.5"], "--train-frac 0.99 and --val-frac 0.5 add up to more than 1"),
+        # a negative size would slice a 10/4/6 split
+        (["--train-frac", "-0.5"], "--train-frac must lie in [0, 1], got -0.5"),
+        (["--val-frac", "1.5"], "--val-frac must lie in [0, 1], got 1.5"),
+        # non-finite sizes cannot be rounded; inf must not read as a divergence (exit 1)
+        (["--val-frac", "inf"], "--val-frac must lie in [0, 1], got inf"),
+        (["--train-frac", "nan"], "--train-frac must lie in [0, 1], got nan"),
+    ],
+)
+def test_gen_refuses_split_fractions_that_make_no_split(tmp_path, capsys, flags, message):
+    out = tmp_path / "data.json"
+    assert main(["gen", "--graphs", "20", "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("train,val,sizes", [("1", "0", (20, 0, 0)), ("0", "1", (0, 20, 0)), ("0.7", "0.3", (14, 6, 0))])
+def test_gen_accepts_fractions_that_fill_the_corpus(tmp_path, train, val, sizes):
+    out = tmp_path / "data.json"
+    assert main(["gen", "--graphs", "20", "--train-frac", train, "--val-frac", val, "--out", str(out)]) == 0
+    splits = json.loads(out.read_text())["splits"]
+    assert tuple(len(splits[s]) for s in ("train", "validation", "test")) == sizes
+
+
 def _train(tmp_path, data, out_name, seed=1, extra=()):
     out = tmp_path / out_name
     # the graph widths, for a graph task only: a node task refuses them

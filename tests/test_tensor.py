@@ -933,24 +933,24 @@ def test_segment_softmax_rejects_negative_or_misaligned_ids():
             segment_softmax(logits, ids)
 
 
-# (x shape, w shape, blocks, shared, kernel rows)
+# (x shape, w shape, blocks, shared)
 _BLOCK_FORMS = {
-    "shared-input": ((4, 3), (9, 2), 3, "x", None),
-    "blocked": ((12, 2), (12, 2), 3, None, (2, 4)),  # rows 2:4 of each 4-row kernel block
-    "shared-kernel": ((6, 2), (2, 5), 3, "w", None),
-    "one-block": ((4, 3), (3, 2), 1, None, None),
+    "shared-input": ((4, 3), (9, 2), 3, "x"),
+    "blocked": ((12, 2), (6, 2), 3, None),
+    "shared-kernel": ((6, 2), (2, 5), 3, "w"),
+    "one-block": ((4, 3), (3, 2), 1, None),
 }
 
 
 @pytest.mark.parametrize("form", list(_BLOCK_FORMS))
 def test_block_matmul_gradients_match_central_differences(form):
-    x_shape, w_shape, blocks, shared, window = _BLOCK_FORMS[form]
+    x_shape, w_shape, blocks, shared = _BLOCK_FORMS[form]
     rng = np.random.default_rng(0)
     rows = x_shape[0] * (blocks if shared == "x" else 1)
     readout = rng.normal(size=(rows, w_shape[1]))
 
     def f(tape, leaves):
-        out = block_matmul(leaves["x"], leaves["w"], blocks, shared=shared, window=window)
+        out = block_matmul(leaves["x"], leaves["w"], blocks, shared=shared)
         return sum_all(mul(tanh(out), readout))
 
     err = grad_check(f, {"x": rng.normal(size=x_shape), "w": rng.normal(size=w_shape)})
@@ -960,13 +960,11 @@ def test_block_matmul_gradients_match_central_differences(form):
 @pytest.mark.parametrize("form", list(_BLOCK_FORMS))
 @pytest.mark.parametrize("f,m", [(3, 2), (1, 2), (3, 1)])
 def test_block_matmul_equals_a_loop_of_matmuls_bitwise(form, f, m):
-    _, _, blocks, shared, _ = _BLOCK_FORMS[form]
-    p, window = (2 * f, (f, 2 * f)) if form == "blocked" else (f, None)
-    start = window[0] if window else 0
+    _, _, blocks, shared = _BLOCK_FORMS[form]
     n = 1 if shared == "w" else 40
     rng = np.random.default_rng(1)
     x0 = rng.normal(size=(n if shared == "x" else blocks * n, f))
-    w0 = rng.normal(size=(f, m) if shared == "w" else (blocks * p, m))
+    w0 = rng.normal(size=(f, m) if shared == "w" else (blocks * f, m))
     readout = rng.normal(size=(blocks * n, m))
 
     def run(loop):
@@ -974,10 +972,7 @@ def test_block_matmul_equals_a_loop_of_matmuls_bitwise(form, f, m):
         x, w = tape.leaf(x0), tape.leaf(w0)
         if loop:
             xs = [x] if shared == "x" else [tape.leaf(x0[b * n:(b + 1) * n]) for b in range(blocks)]
-            ws = [
-                w if shared == "w" else slice_rows(w, b * p + start, b * p + start + f)
-                for b in range(blocks)
-            ]
+            ws = [w if shared == "w" else slice_rows(w, b * f, (b + 1) * f) for b in range(blocks)]
             outs = [matmul(xs[0 if shared == "x" else b], ws[b]) for b in range(blocks)]
             loss = sum_all(mul(outs[0], readout[:n]))
             for b in range(1, blocks):
@@ -985,7 +980,7 @@ def test_block_matmul_equals_a_loop_of_matmuls_bitwise(form, f, m):
             out = np.concatenate([o.data for o in outs])
         else:
             xs = [x]
-            block = block_matmul(x, w, blocks, shared=shared, window=window)
+            block = block_matmul(x, w, blocks, shared=shared)
             loss, out = sum_all(mul(block, readout)), block.data
         # a term recorded after the products, as the L2 penalty is in training
         grads = tape.backward(add(loss, sum_squares(w)))
@@ -1001,13 +996,11 @@ def test_block_matmul_edge_shapes_equal_a_loop_of_matmuls_bitwise(form, n, m):
     """Zero-row and one-row blocks and one output column, with both operands'
     gradients already holding another op's term when the products' backward
     runs, as a shared input's does when it also feeds a later op."""
-    _, _, blocks, shared, _ = _BLOCK_FORMS[form]
+    _, _, blocks, shared = _BLOCK_FORMS[form]
     f = 3
-    p, window = (2 * f, (f, 2 * f)) if form == "blocked" else (f, None)
-    start = window[0] if window else 0
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(n if shared == "x" else blocks * n, f))
-    w0 = rng.normal(size=(f, m) if shared == "w" else (blocks * p, m))
+    w0 = rng.normal(size=(f, m) if shared == "w" else (blocks * f, m))
     readout = rng.normal(size=(blocks * n, m))
 
     def run(loop):
@@ -1018,13 +1011,13 @@ def test_block_matmul_edge_shapes_equal_a_loop_of_matmuls_bitwise(form, n, m):
                 [
                     matmul(
                         x if shared == "x" else slice_rows(x, b * n, (b + 1) * n),
-                        w if shared == "w" else slice_rows(w, b * p + start, b * p + start + f),
+                        w if shared == "w" else slice_rows(w, b * f, (b + 1) * f),
                     )
                     for b in range(blocks)
                 ]
             )
         else:
-            block = block_matmul(x, w, blocks, shared=shared, window=window)
+            block = block_matmul(x, w, blocks, shared=shared)
         loss = add(sum_all(mul(block, readout)), add(sum_squares(x), sum_squares(w)))
         grads = tape.backward(loss)
         return block.data, grads[x], grads[w]
@@ -1040,8 +1033,6 @@ def test_block_matmul_rejects_mismatched_shapes():
         block_matmul(x, tape.leaf(np.ones((4, 2))), 3)  # 4 kernel rows do not split in 3
     with pytest.raises(ValueError, match="mismatch"):
         block_matmul(x, tape.leaf(np.ones((9, 2))), 3)  # 3-row kernels for 2-wide blocks
-    with pytest.raises(ValueError, match="mismatch"):
-        block_matmul(x, tape.leaf(np.ones((9, 2))), 3, window=(2, 4))
     with pytest.raises(ValueError, match="mismatch"):
         block_matmul(x, tape.leaf(np.ones((3, 2))), 3, shared="w")
 
@@ -1064,28 +1055,50 @@ def test_sum_blocks_adds_left_to_right_and_tiles_the_gradient():
 # fused edge ops against the primitive chains they replace
 
 
-def _edge_forward(fused, mode, learned, heads, plan, g0, wq0, wk0, weights, alpha_weights):
-    # the layer's edge path from projected features g: queries and keys as
-    # products of g, coefficients, messages, and a loss that reads both the
-    # messages and the coefficients, so that g and the coefficients each
-    # sum gradients from more than one op
+def _slot_attention(fused, g, a, tgt_rows, src_rows, mode, supports):
+    # edge_attention, or the per-slot chain it replaces: every slot's query
+    # products, then its key products, each a matmul of the slot's rows of g
+    # and a half of its kernel, then gathers, logits and softmax
+    if fused:
+        return edge_attention(g, a, tgt_rows, src_rows, mode, supports)
+    cols = g.shape[1]
+    slots = a.shape[0] // (2 * cols)
+    n = g.shape[0] // slots
+
+    def products(start):
+        return concat_rows(
+            [
+                matmul(slice_rows(g, s * n, (s + 1) * n), slice_rows(a, 2 * s * cols + start, 2 * s * cols + start + cols))
+                for s in range(slots)
+            ]
+        )
+
+    qe, ke = gather_rows(products(0), tgt_rows), gather_rows(products(cols), src_rows)
+    if mode == "additive":
+        logits = leaky_relu(reshape(add(qe, ke), (qe.shape[0],)), 0.2)
+    else:
+        logits = rowsum(mul(qe, ke))
+    return segment_softmax(logits, supports)
+
+
+def _slot_rows(plan, heads, slot_rows):
+    # the slot row of every (edge, head), edge-major, as a layer lists them
+    base = np.arange(heads) * slot_rows
+    return (plan.target_rows[:, None] + base).ravel(), (plan.source_rows[:, None] + base).ravel()
+
+
+def _edge_forward(fused, mode, learned, heads, plan, g0, a0, weights, alpha_weights):
+    # the layer's edge path from projected features g: coefficients,
+    # messages, and a loss that reads both the messages and the
+    # coefficients, so that g and the coefficients each sum gradients from
+    # more than one op
     tape = Tape()
-    g, wq, wk = tape.leaf(g0), tape.leaf(wq0), tape.leaf(wk0)
-    tgt_rows = (plan.target_rows[:, None] + np.arange(heads) * (g0.shape[0] // heads)).ravel()
-    src_rows = (plan.source_rows[:, None] + np.arange(heads) * (g0.shape[0] // heads)).ravel()
+    g, a = tape.leaf(g0), tape.leaf(a0)
+    tgt_rows, src_rows = _slot_rows(plan, heads, g0.shape[0] // heads)
     edges, cols = plan.target_rows.size, g0.shape[1]
     alpha = np.repeat(1.0 / plan.supports.counts[plan.supports.ids], heads)
     if learned:
-        query, key = matmul(g, wq), matmul(g, wk)
-        if fused:
-            alpha = edge_attention(query, key, tgt_rows, src_rows, mode, plan.supports)
-        else:
-            qe, ke = gather_rows(query, tgt_rows), gather_rows(key, src_rows)
-            if mode == "additive":
-                logits = leaky_relu(reshape(add(qe, ke), (qe.shape[0],)), 0.2)
-            else:
-                logits = rowsum(mul(qe, ke))
-            alpha = segment_softmax(logits, plan.supports)
+        alpha = _slot_attention(fused, g, a, tgt_rows, src_rows, mode, plan.supports)
     if fused:
         out = edge_messages(g, alpha, src_rows, plan.targets, plan.num_nodes, heads)
     else:
@@ -1096,7 +1109,7 @@ def _edge_forward(fused, mode, learned, heads, plan, g0, wq0, wk0, weights, alph
         loss = add(loss, sum_all(mul(alpha, alpha_weights)))
     grads = tape.backward(loss)
     alpha_bytes = alpha.data.tobytes() if learned else b""
-    leaf_grads = [grads[t].tobytes() for t in (g, wq, wk)]
+    leaf_grads = [grads[t].tobytes() for t in (g, a)]
     return out.data.tobytes(), alpha_bytes, leaf_grads, tape.min_kink_gap(), tape.num_recorded
 
 
@@ -1134,31 +1147,100 @@ def test_fused_edge_ops_equal_the_primitive_chain_bytewise(
             return rng.integers(-2, 3, size=shape) / 2.0
         return rng.normal(size=shape)
 
-    g0, wq0, wk0 = draw((slots * n, cols)), draw((cols, dim)), draw((cols, dim))
+    g0, a0 = draw((slots * n, cols)), draw((slots * 2 * cols, dim))
     weights, alpha_weights = rng.normal(size=(n, heads * cols)), rng.normal(size=plan.target_rows.size * heads)
-    args = (mode, learned, heads, plan, g0, wq0, wk0, weights, alpha_weights)
+    args = (mode, learned, heads, plan, g0, a0, weights, alpha_weights)
     fused, chain = _edge_forward(True, *args), _edge_forward(False, *args)
     assert fused[:4] == chain[:4]
-    # 2 fused ops for 10 (additive) or 9 (multiplicative) learned ones, 1
-    # for the 4 constant ones
-    assert chain[4] - fused[4] == ((8 if mode == "additive" else 7) if learned else 3)
+    # 2 fused ops for the 6 per-slot query and key ops (two slices and a
+    # matmul each), 2 concat_rows, and 10 (additive) or 9 (multiplicative)
+    # edge ops; 1 for the 4 constant ones
+    assert chain[4] - fused[4] == (6 * slots + (10 if mode == "additive" else 9) if learned else 3)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(["additive", "multiplicative"]),
+    st.integers(1, 3),
+    st.sampled_from(["wirgat", "argat"]),
+    st.integers(1, 3),
+    st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    st.integers(1, 12),
+    st.sampled_from(["coarse", "gaussian", "spread"]),
+    st.sampled_from(["none", "signed", "silent"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_edge_attention_equals_the_per_slot_chain_bytewise(mode, dim, kind, heads, sizes, n, values, loss, seed):
+    """Values, the gradients of g and of the kernel, and the kink gap.
+
+    Few edges over up to 12 nodes leave most slot rows unread; coarse draws
+    put zeros and negatives in the kernels and g; spread kernels push logit
+    gaps past exp's underflow, so that coefficients are 0; a signed loss
+    gives g a gradient of +-0.0 and +-0.5 entries before edge_attention's
+    backward runs, and a silent loss reads the coefficients with weight 0.
+    Multiplicative logits of dimension 1 take the one-term path too.
+    """
+    from relgat.layers import EdgePlan
+
+    rng = np.random.default_rng(seed)
+    dim = 1 if mode == "additive" else dim
+    edges = [(rng.integers(n, size=size), rng.integers(n, size=size)) for size in sizes]
+    plan = EdgePlan(edges, n, kind)
+    cols, slots = 2, heads * len(sizes)
+    if values == "gaussian":
+        g0, a0 = rng.normal(size=(slots * n, cols)), rng.normal(size=(slots * 2 * cols, dim))
+    else:
+        g0 = rng.integers(-2, 3, size=(slots * n, cols)) / 2.0
+        a0 = rng.integers(-2, 3, size=(slots * 2 * cols, dim)) / 2.0
+        if values == "spread":
+            g0, a0 = g0 * 30.0, a0 * 30.0
+    alpha_weights = rng.normal(size=plan.target_rows.size * heads) * (loss != "silent")
+    prior = rng.integers(-1, 2, size=g0.shape) / 2.0
+    prior[rng.random(g0.shape) < 0.5] = -0.0
+    tgt_rows, src_rows = _slot_rows(plan, heads, slots * n // heads)
+
+    def run(fused):
+        tape = Tape()
+        g, a = tape.leaf(g0), tape.leaf(a0)
+        alpha = _slot_attention(fused, g, a, tgt_rows, src_rows, mode, plan.supports)
+        total = sum_all(mul(alpha, alpha_weights))
+        if loss == "signed":
+            # recorded after the attention, so its backward adds to g first
+            total = add(total, sum_all(mul(g, prior)))
+        grads = tape.backward(total)
+        return alpha.data.tobytes(), grads[g].tobytes(), grads[a].tobytes(), tape.min_kink_gap()
+
+    assert run(True) == run(False)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("differentiable", [True, False])
 def test_a_logit_overflowing_under_a_finite_softmax_raises(differentiable):
-    # node 0 attends to sources 0 and 1: q0*k0 overflows to -inf, q0*k1 is
-    # finite, so the softmax reads (0, 1), finite, and would hide the -inf
+    # one slot of 2 nodes, node 0 attending to sources 0 and 1: queries
+    # (1e200, 1e100) and keys (-1e200, -1e100) are finite, q0*k0 overflows
+    # to -inf and q0*k1 does not, so the softmax reads (0, 1), finite, and
+    # would hide the -inf
     tape = Tape(differentiable=differentiable)
-    query, key = tape.leaf([[1e200], [1.0]]), tape.leaf([[-1e200], [1.0]])
-    logits = query.data[[0, 0], 0] * key.data[[0, 1], 0]
-    assert logits[0] == -np.inf and np.isfinite(np.exp(logits - logits.max())).all()
-    rows, ids = np.array([0, 0]), np.array([0, 0])
+    g, a = tape.leaf([[1e100], [1.0]]), tape.leaf([[1e100], [-1e100]])
+    rows, sources, ids = np.array([0, 0]), np.array([0, 1]), np.array([0, 0])
     with pytest.raises(OverflowError, match="non-finite entries in logits of edge_attention"):
-        edge_attention(query, key, rows, np.array([0, 1]), "multiplicative", ids)
-    # the additive sum overflows in the same way
+        edge_attention(g, a, rows, sources, "multiplicative", ids)
+    # the additive sum q0 + k0 of -1e308 and -1e308 overflows in the same way
+    g, a = tape.leaf([[-1e308], [1.0]]), tape.leaf([[1.0], [1.0]])
     with pytest.raises(OverflowError, match="logits of edge_attention"):
-        edge_attention(tape.leaf([[-1e308]]), tape.leaf([[-1e308], [1.0]]), rows, np.array([0, 1]), "additive", ids)
+        edge_attention(g, a, rows, sources, "additive", ids)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("half", ["queries", "keys"])
+def test_an_overflowing_query_or_key_product_raises(half):
+    # g and both kernel halves are finite, one half's product with row 0 of
+    # g is not; no edge reads row 0, and every row is checked all the same
+    tape = Tape(differentiable=False)
+    g = tape.leaf([[1e200], [1.0]])
+    a = tape.leaf([[1e200], [1.0]] if half == "queries" else [[1.0], [1e200]])
+    with pytest.raises(OverflowError, match=f"non-finite entries in {half} of edge_attention"):
+        edge_attention(g, a, np.array([1]), np.array([1]), "additive", np.array([0]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -1173,16 +1255,20 @@ def test_an_op_result_error_names_the_op():
 
 def test_fused_edge_ops_refuse_misaligned_inputs():
     tape = Tape()
-    q, g = tape.leaf(np.ones((3, 1))), tape.leaf(np.ones((3, 2)))
+    # one slot of 3 nodes with one feature, and its (2, 1) attention kernel
+    q, a, g = tape.leaf(np.ones((3, 1))), tape.leaf(np.ones((2, 1))), tape.leaf(np.ones((3, 2)))
     rows = np.array([0, 1, 2])
     with pytest.raises(ValueError, match="unknown logit mode"):
-        edge_attention(q, q, rows, rows, "dot", rows)
+        edge_attention(q, a, rows, rows, "dot", rows)
     with pytest.raises(ValueError, match="additive logits read one column"):
-        edge_attention(g, g, rows, rows, "additive", rows)
+        edge_attention(q, tape.leaf(np.ones((2, 2))), rows, rows, "additive", rows)
+    for kernel_rows in (3, 4):  # 3 rows are no whole slot; 2 slots do not split 3 rows
+        with pytest.raises(ValueError, match="slot-stacked features and kernels"):
+            edge_attention(q, tape.leaf(np.ones((kernel_rows, 1))), rows, rows, "additive", rows)
     with pytest.raises(ValueError, match="source rows out of range"):
-        edge_attention(q, q, rows, rows + 1, "additive", rows)
+        edge_attention(q, a, rows, rows + 1, "additive", rows)
     with pytest.raises(ValueError, match="3 target rows for 2 source rows"):
-        edge_attention(q, q, rows, rows[:2], "additive", rows)
+        edge_attention(q, a, rows, rows[:2], "additive", rows)
     with pytest.raises(ValueError, match="do not split into 2 heads"):
         edge_messages(g, np.ones(3), rows, rows, 3, 2)
     with pytest.raises(ValueError, match=r"row scale shape mismatch: 3 rows vs \(2,\)"):

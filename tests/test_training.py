@@ -362,6 +362,24 @@ def test_a_divergence_names_the_op_that_overflowed():
         train(model, task, TrainConfig(epochs=2, patience=2))
 
 
+@pytest.mark.parametrize("half", ["queries", "keys"])
+def test_a_divergence_names_an_overflowing_query_or_key_product(half):
+    # one half of every layer-1 attention kernel at 1e308 and the other at
+    # 0: that half's products with the projected features overflow before
+    # any logit is formed, and the other half's stay finite
+    model, task = _graph_task()
+    for name in model.layer1.a_parameter_names():
+        kernel = np.zeros_like(model.params[name])
+        fp = kernel.shape[0] // 2
+        kernel[slice(fp) if half == "queries" else slice(fp, None)] = 1e308
+        model.params[name] = kernel
+    message = f"non-finite entries in {half} of edge_attention"
+    with pytest.raises(OverflowError, match=message):
+        evaluate(model, task, "test")
+    with pytest.raises(DivergenceError, match=f"at epoch 0: {message}"):
+        train(model, task, TrainConfig(epochs=2, patience=2))
+
+
 def test_graph_training_runs_minibatched_and_deterministic():
     model1, task = _graph_task()
     cfg = TrainConfig(epochs=4, patience=4, seed=1, batch_size=4, feature_dropout=0.2)
@@ -625,12 +643,12 @@ def test_a_step_binds_each_kernel_kind_and_the_biases_as_one_leaf(monkeypatch):
     params = {k: v.copy() for k, v in model.params.items()}
     training._step(fit, params, AdamState(params), part, None, TrainConfig())
     # 40 W and A slot leaves and 4 bias leaves become 6 stacked leaves, and
-    # the 6 concat_rows that joined them go; each multiplicative layer's 9
-    # edge ops (two gathers, mul, rowsum, softmax, gather, scale, reshape,
-    # sum) are the 2 fused ones
+    # the 6 concat_rows that joined them go; each layer's 2 query and key
+    # products and 9 multiplicative edge ops (two gathers, mul, rowsum,
+    # softmax, gather, scale, reshape, sum) are the 2 fused ones
     slots = sum(len(names) for names in model.stacks.values())
     assert (slots, len(model.stacks)) == (44, 6)
-    assert (tape.num_recorded, recorded) == (84, [84 - slots])
+    assert (tape.num_recorded, recorded) == (80, [80 - slots])
 
 
 @pytest.mark.parametrize("kind", ["node", "graph"])

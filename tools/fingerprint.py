@@ -21,6 +21,13 @@ digits) of
 (1 to 3) of a graph model trained with feature and edge dropout and L2 on
 the planted-graph task, hashing its history, parameters and evaluations.
 Two trees give the same bytes when their outputs are equal line for line.
+
+    python3 tools/fingerprint.py --seeds 1 2 --grid --against HEAD
+
+--against REF runs this script, with the same options, on a `git archive`
+of REF and then on this working tree, prints the lines that differ as a
+unified diff, and exits 1 if any does, 0 if none, and 2 if either tree
+could not be fingerprinted.
 """
 
 import os
@@ -29,8 +36,11 @@ import os
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import argparse  # noqa: E402
+import difflib  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -130,11 +140,48 @@ def grid_hashes(seed: int):
                 yield {**key, **_fit_hashes(model, task, tcfg)}
 
 
+def _fingerprint(root: Path, options: list) -> list:
+    # the output lines of this script run from a copy in the tree at root,
+    # which it then reads
+    script = root / "tools" / "fingerprint.py"
+    if script.resolve() != Path(__file__).resolve():
+        script.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, script)
+    proc = subprocess.run([sys.executable, str(script), *options], capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"fingerprinting {root} failed:\n{proc.stderr}")
+    return proc.stdout.splitlines()
+
+
+def against(ref: str, options: list) -> int:
+    with tempfile.TemporaryDirectory() as d:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref], capture_output=True)
+        if archive.returncode:
+            print(f"fingerprint: git archive {ref}: {archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", d], input=archive.stdout, check=True)
+        try:
+            theirs = _fingerprint(Path(d), options)
+            ours = _fingerprint(ROOT, options)
+        except RuntimeError as exc:
+            print(f"fingerprint: {exc}", file=sys.stderr)
+            return 2
+    diff = list(difflib.unified_diff(theirs, ours, ref, "this tree", n=0, lineterm=""))
+    for line in diff:
+        print(line)
+    print(f"{len(ours)} lines, {'equal to' if not diff else 'differing from'} {ref}'s {len(theirs)}", file=sys.stderr)
+    return 1 if diff else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     p.add_argument("--grid", action="store_true", help="add the logit mode x kind x heads grid")
+    p.add_argument("--against", metavar="REF", help="compare with a git archive of REF; exit 1 on a difference")
     args = p.parse_args(argv)
+    if args.against:
+        options = ["--seeds", *map(str, args.seeds)] + (["--grid"] if args.grid else [])
+        return against(args.against, options)
     for seed in args.seeds:
         for name in sorted(WORKLOADS):
             print(json.dumps(workload_hashes(name, seed), sort_keys=True), flush=True)
