@@ -54,12 +54,12 @@ __all__ = ["main"]
 
 def _split_indices(n: int, seed: int, train_frac: float, val_frac: float) -> Split:
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(train_frac * n))
-    n_val = int(round(val_frac * n))
+    # round the cumulative boundaries, so that no split pays for another's rounding
+    a, b = round(train_frac * n), round((train_frac + val_frac) * n)
     return Split(
-        train=tuple(int(i) for i in np.sort(order[:n_train])),
-        validation=tuple(int(i) for i in np.sort(order[n_train : n_train + n_val])),
-        test=tuple(int(i) for i in np.sort(order[n_train + n_val :])),
+        train=tuple(int(i) for i in np.sort(order[:a])),
+        validation=tuple(int(i) for i in np.sort(order[a:b])),
+        test=tuple(int(i) for i in np.sort(order[b:])),
     )
 
 

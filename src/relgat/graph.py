@@ -289,6 +289,21 @@ class GraphTask:
     labels: LabelSet
     split: Split
 
+    def batch(self, split: str) -> BatchedGraph:
+        """The split's graphs merged by batch_graphs, built on first use and
+        kept with the task, as a graph keeps its edge plan: graphs and split
+        are immutable, so it never goes stale, and its merged graph keeps its
+        own plan. The memo is no field, so ==, repr and replace ignore it,
+        and pickles and copies leave it out."""
+        batches = self.__dict__.setdefault("_batches", {})
+        batch = batches.get(split)
+        if batch is None:
+            batch = batches[split] = batch_graphs([self.graphs[i] for i in self.split.part(split)])
+        return batch
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_batches"}
+
 
 @dataclass(frozen=True, eq=False)
 class BatchedGraph:

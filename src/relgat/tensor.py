@@ -198,6 +198,20 @@ def _acc(grads: dict[int, np.ndarray], tensor_id: int, value: np.ndarray) -> Non
     grads[tensor_id] = value if cur is None else cur + value
 
 
+def _acc_products(grads: dict[int, np.ndarray], tensor_id: int, a: np.ndarray, b: np.ndarray) -> None:
+    # _acc of a[k] @ b[k] for k from the last block down, bit for bit: the
+    # first sum is a new array, never the incoming gradient (add's backward
+    # hands one array to two ids), and each later product is made in one
+    # reused scratch and added in place
+    cur, total, scratch = grads.get(tensor_id), a[-1] @ b[-1], None
+    if cur is not None:
+        scratch, total = total, cur + total
+    for k in reversed(range(len(a) - 1)):
+        scratch = np.matmul(a[k], b[k], out=scratch)
+        total += scratch
+    grads[tensor_id] = total
+
+
 def _check_tape(*tensors: Tensor) -> Tape:
     tape = tensors[0].tape
     for t in tensors[1:]:
@@ -534,13 +548,11 @@ def block_matmul(
     def backward(g, grads):
         g3 = g.reshape(blocks, n, m)
         if shared == "x":
-            for b in reversed(range(blocks)):
-                _acc(grads, x_id, g3[b] @ w3[b].T)
+            _acc_products(grads, x_id, g3, w3.transpose(0, 2, 1))
         else:
             _acc(grads, x_id, np.matmul(g3, w3.transpose(0, 2, 1)).reshape(blocks * n, f))
         if shared == "w":
-            for b in reversed(range(blocks)):
-                _acc(grads, w_id, x3[b].T @ g3[b])
+            _acc_products(grads, w_id, x3.transpose(0, 2, 1), g3)
         else:
             _acc(grads, w_id, np.matmul(x3.transpose(0, 2, 1), g3).reshape(blocks * f, m))
 

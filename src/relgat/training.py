@@ -260,7 +260,10 @@ class _GraphFit:
         self.weights = _resolve_weights(model, task)
 
     def part(self, split: str):
-        return self._part(_split_ids(self.task, split))
+        # the batch is kept with the task; labels are gathered afresh, since
+        # a label set built in code may hold writable arrays
+        ids = _split_ids(self.task, split)
+        return ids, self.task.batch(split), self.task.labels.graph_classes[ids]
 
     def _part(self, ids: np.ndarray):
         graphs = [self.task.graphs[int(i)] for i in ids]

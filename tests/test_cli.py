@@ -93,6 +93,16 @@ def test_gen_accepts_fractions_that_fill_the_corpus(tmp_path, train, val, sizes)
     assert tuple(len(splits[s]) for s in ("train", "validation", "test")) == sizes
 
 
+def test_gen_rounds_the_split_boundaries_not_the_sizes(tmp_path):
+    # 3.5/3.5/3 graphs asked: rounding each size alone gave 4/4/2, leaving
+    # the test split short by the other two's rounding
+    out = tmp_path / "data.json"
+    assert main(["gen", "--graphs", "10", "--train-frac", "0.35", "--val-frac", "0.35", "--out", str(out)]) == 0
+    splits = json.loads(out.read_text())["splits"]
+    assert tuple(len(splits[s]) for s in ("train", "validation", "test")) == (4, 3, 3)
+    assert sorted(i for s in splits.values() for i in s) == list(range(10))
+
+
 def _train(tmp_path, data, out_name, seed=1, extra=()):
     out = tmp_path / out_name
     # the graph widths, for a graph task only: a node task refuses them

@@ -1,6 +1,7 @@
 """Graph data model: canonical edges, document round trips, batching, and
 the synthetic benchmark generator."""
 
+import copy
 import gc
 import json
 import pickle
@@ -461,3 +462,49 @@ def test_an_edge_plan_memo_changes_no_observable_of_the_graph():
     a, b = (build_graph(1, 1, [[0, 0, 0]], one_hot=True) for _ in range(2))
     a.edge_plan("wirgat")
     assert a == b and b == a
+
+
+def _small_task(validation=(2,)):
+    pairs = generate_planted(3, 6, 5, 3, feature_dim=2, noise_edges=2)
+    labels = LabelSet(
+        kind="graph",
+        num_classes=2,
+        num_tasks=1,
+        graph_classes=np.array([[y] for _, y in pairs], dtype=np.int64),
+    )
+    graphs = tuple(with_self_relation(g) for g, _ in pairs)
+    return GraphTask(graphs, labels, Split((0, 1, 5), validation, (3, 4)))
+
+
+def test_a_task_keeps_one_batch_per_split():
+    task = _small_task()
+    train, test = task.batch("train"), task.batch("test")
+    assert task.batch("train") is train and task.batch("test") is test
+    assert list(vars(task)["_batches"]) == ["train", "test"]
+    assert train == batch_graphs([task.graphs[i] for i in (0, 1, 5)])
+    assert test == batch_graphs([task.graphs[i] for i in (3, 4)])
+    # the merged graph keeps its own plan, so a kept batch keeps it too
+    plan = train.graph.edge_plan("argat")
+    assert task.batch("train").graph.edge_plan("argat") is plan
+
+
+def test_a_kept_batch_changes_no_observable_of_the_task():
+    task, twin = _small_task(), _small_task()
+    before = (repr(task), serialize_dataset(task), pickle.dumps(task))
+    for split in ("train", "validation", "test"):
+        task.batch(split)
+    assert (repr(task), serialize_dataset(task), pickle.dumps(task)) == before
+    assert task == twin and twin == task
+    assert repr(replace(task)) == repr(twin)
+    for other in (replace(task), pickle.loads(pickle.dumps(task)), copy.copy(task), copy.deepcopy(task)):
+        assert "_batches" not in vars(other)
+        assert other == task
+
+
+def test_batching_an_empty_or_unknown_split_raises_and_keeps_nothing():
+    task = _small_task(validation=())
+    with pytest.raises(ValueError, match="nothing to batch"):
+        task.batch("validation")
+    with pytest.raises(ValueError, match="unknown split part"):
+        task.batch("dev")
+    assert not vars(task).get("_batches")

@@ -1026,6 +1026,49 @@ def test_block_matmul_edge_shapes_equal_a_loop_of_matmuls_bitwise(form, n, m):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    shared=st.sampled_from(["x", "w"]),
+    blocks=st.integers(1, 6),
+    n=st.integers(0, 5),
+    f=st.integers(1, 4),
+    m=st.integers(1, 4),
+    prior=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_a_shared_operand_gradient_equals_a_loop_of_acc_calls_bytewise(shared, blocks, n, f, m, prior, seed):
+    """The shared operand's gradient is the incoming one plus each block's
+    product, added one _acc at a time from the last block down. With a prior
+    gradient, that array is also a sibling's (add hands one g to both
+    operands), so it must come out of the backward unchanged."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(n if shared == "x" else blocks * n, f))
+    w0 = rng.normal(size=(f, m) if shared == "w" else (blocks * f, m))
+    readout = rng.normal(size=(blocks * n, m))
+    tape = Tape()
+    x, w = tape.leaf(x0), tape.leaf(w0)
+    loss = sum_all(mul(block_matmul(x, w, blocks, shared=shared), readout))
+    leaf = x if shared == "x" else w
+    sibling = tape.leaf(np.zeros(leaf.shape))
+    if prior:  # recorded last, so its backward runs first
+        loss = add(loss, sum_all(add(leaf, sibling)))
+    grads = tape.backward(loss)
+
+    want = {sibling.id: np.ones(leaf.shape)} if prior else {}
+    if prior:
+        want[leaf.id] = want[sibling.id]
+    g3 = readout.reshape(blocks, n, m)
+    for b in reversed(range(blocks)):
+        if shared == "x":
+            relgat.tensor._acc(want, leaf.id, g3[b] @ w0.reshape(blocks, f, m)[b].T)
+        else:
+            relgat.tensor._acc(want, leaf.id, x0.reshape(blocks, n, f)[b].T @ g3[b])
+    assert grads[leaf].shape == want[leaf.id].shape
+    assert grads[leaf].tobytes() == want[leaf.id].tobytes()
+    if prior:
+        assert grads[sibling].tobytes() == np.ones(leaf.shape).tobytes()
+
+
 def test_block_matmul_rejects_mismatched_shapes():
     tape = Tape()
     x = tape.leaf(np.ones((6, 2)))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from test_cli import _src_env
 
+import relgat.graph
 from relgat import training
 from relgat.graph import (
     GraphTask,
@@ -515,6 +516,56 @@ def test_a_graphs_plan_is_kept_from_its_second_forward_and_builds_no_runs_before
     evaluate(model, task, "test", constant=True)
     for segments in (plan.targets, plan.supports):
         assert segments._runs is not None
+
+
+def _count_batches(monkeypatch) -> list:
+    # every batch_graphs call, by the module that made it: graph for a kept
+    # split batch, training for a shuffled step batch
+    calls = []
+    for module in (relgat.graph, training):
+        def counted(graphs, name=module.__name__.rsplit(".", 1)[1], real=module.batch_graphs):
+            calls.append(name)
+            return real(graphs)
+
+        monkeypatch.setattr(module, "batch_graphs", counted)
+    return calls
+
+
+def test_a_second_evaluate_reuses_the_tasks_batch_and_scores_the_same(monkeypatch):
+    model, task = _graph_task()
+    calls = _count_batches(monkeypatch)
+    first = [evaluate(model, task, "test", constant=c) for c in (False, True)]
+    assert calls == ["graph"]
+    # the kept batch's plan now builds its runs: the scores must not move
+    again = [evaluate(model, task, "test", constant=c) for c in (False, True)]
+    assert calls == ["graph"]
+    assert repr(again) == repr(first)
+
+
+def test_train_keeps_its_scored_batches_for_later_calls(monkeypatch):
+    model, task = _graph_task()
+    calls = _count_batches(monkeypatch)
+    cfg = TrainConfig(epochs=2, patience=2, batch_size=64)
+    first = train(model, task, cfg).history
+    assert calls == ["graph", "graph", "training", "training"]  # one step batch per epoch
+    assert list(vars(task)["_batches"]) == ["train", "validation"]
+    kept = task.batch("train"), task.batch("validation")
+    calls.clear()
+    evaluate(model, task, "train")
+    assert calls == []
+    # a second run scores the kept batches, whose plans now build runs, and
+    # repeats the first; its shuffled step batches are not kept
+    again = train(_graph_task()[0], task, cfg).history
+    assert calls == ["training", "training"]
+    assert task.batch("train") is kept[0] and task.batch("validation") is kept[1]
+    assert repr(again) == repr(first)
+
+
+def test_evaluating_an_empty_split_raises():
+    model, task = _graph_task()
+    task = GraphTask(task.graphs, task.labels, dataclasses.replace(task.split, validation=()))
+    with pytest.raises(ValueError, match="split 'validation' is empty"):
+        evaluate(model, task, "validation")
 
 
 _FRESH_EVAL = """

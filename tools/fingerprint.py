@@ -8,18 +8,25 @@ the workloads from perfbench/, which this script only reads. For every
 workload and seed it prints one JSON line of hashes (sha256, first 16 hex
 digits) of
 
-- history: the 3-epoch train() history of the workload's model and trial-0
-  configuration, with patience 3, as the benchmark trains it;
-- params: the best parameters train() returns, by name, shape and bytes;
-- evaluate: evaluate() under learned and then constant attention, on the
-  train, validation and test splits and on every one-graph test task the
-  benchmark's eval phase scores;
+- history: the 3-epoch train() histories of two models built alike from the
+  workload's model and trial-0 configuration, with patience 3, as the
+  benchmark trains it; both train on the same task object, so the second
+  scores the split batches, and their plans, that the first one's run kept
+  with the task;
+- params: the best parameters each train() returns, by name, shape and
+  bytes;
+- evaluate: after each train(), two rounds of evaluate() under learned and
+  then constant attention, on the train, validation and test splits and on
+  every one-graph test task the benchmark's eval phase scores; the second
+  round scores kept batches whose plans have built their runs;
 - sweep: the records of a 4-trial run_sweep over the workload's space,
-  3 epochs per trial, on the benchmark's pool of PARALLELISM workers.
+  3 epochs per trial, on the benchmark's pool of PARALLELISM workers,
+  which fork after the fits above and so inherit the batches they kept.
 
 --grid adds one line per logit mode, normalization kind and head count
 (1 to 3) of a graph model trained with feature and edge dropout and L2 on
-the planted-graph task, hashing its history, parameters and evaluations.
+the planted-graph task, hashing its histories, parameters and evaluations
+in the same way.
 Two trees give the same bytes when their outputs are equal line for line.
 
     python3 tools/fingerprint.py --seeds 1 2 --grid --against HEAD
@@ -79,21 +86,28 @@ def _scored_tasks(task) -> list:
     return parts
 
 
-def _fit_hashes(model, task, tcfg) -> dict:
-    result = relgat.train(model, task, tcfg)
-    scores = [
-        relgat.evaluate(model, on, split, constant=constant)
-        for on, split in _scored_tasks(task)
-        for constant in (False, True)
-    ]
-    return {"history": _hash(result.history), "params": _params_hash(result.params), "evaluate": _hash(scores)}
+def _fit_hashes(new_model, task, tcfg) -> dict:
+    scored = _scored_tasks(task)
+    histories, params, scores = [], [], []
+    for _ in range(2):
+        model = new_model()
+        result = relgat.train(model, task, tcfg)
+        histories.append(result.history)
+        params.append(_params_hash(result.params))
+        scores += [
+            relgat.evaluate(model, on, split, constant=constant)
+            for _ in range(2)
+            for on, split in scored
+            for constant in (False, True)
+        ]
+    return {"history": _hash(histories), "params": _hash(params), "evaluate": _hash(scores)}
 
 
 def workload_hashes(name: str, seed: int) -> dict:
     w = WORKLOADS[name]
     task, config = w.build(seed), w.config()
     tcfg = _train_config(config, seed, {"epochs": EPOCHS, "patience": EPOCHS})
-    out = {"workload": name, "seed": seed, **_fit_hashes(build_model(w, task, config, seed), task, tcfg)}
+    out = {"workload": name, "seed": seed, **_fit_hashes(lambda: build_model(w, task, config, seed), task, tcfg)}
     with tempfile.TemporaryDirectory() as d:
         records = relgat.run_sweep(
             task,
@@ -135,9 +149,9 @@ def grid_hashes(seed: int):
                     logit_mode=mode,
                     norm_kind=kind,
                 )
-                model = relgat.GraphClassifier(np.random.default_rng(seed), config)
                 key = {"grid": f"{mode}/{kind}/heads{heads}", "seed": seed}
-                yield {**key, **_fit_hashes(model, task, tcfg)}
+                hashes = _fit_hashes(lambda: relgat.GraphClassifier(np.random.default_rng(seed), config), task, tcfg)
+                yield {**key, **hashes}
 
 
 def _fingerprint(root: Path, options: list) -> list:
