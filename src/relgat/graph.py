@@ -123,38 +123,40 @@ class RelGraph:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_plans"}
 
-    def edge_triples(self) -> list[tuple[int, int, int]]:
-        out = []
-        for r, (tgt, src) in enumerate(self.edges):
-            out.extend((r, int(t), int(s)) for t, s in zip(tgt, src))
-        return out
+    def edge_triples(self) -> list[list[int]]:
+        """The edges as [relation, target, source] lists, in canonical order."""
+        rel = np.repeat(np.arange(self.num_relations), [len(t) for t, _ in self.edges])
+        return np.column_stack([rel, *map(np.concatenate, zip(*self.edges))]).tolist()
+
+
+def _steps(rel: np.ndarray, tgt: np.ndarray, src: np.ndarray) -> np.ndarray:
+    # per consecutive pair of edges, the difference in its first differing
+    # id, or 0; ids are non-negative, so no difference overflows
+    step = src[1:] - src[:-1]
+    for key in (tgt, rel):
+        diff = key[1:] - key[:-1]
+        step = np.where(diff != 0, diff, step)
+    return step
 
 
 def _canonical_edges(
-    num_nodes: int, num_relations: int, triples: Iterable[Sequence[int]]
+    num_nodes: int, num_relations: int, rel: np.ndarray, tgt: np.ndarray, src: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    per_rel: list[list[tuple[int, int]]] = [[] for _ in range(num_relations)]
-    seen: set[tuple[int, int, int]] = set()
-    for item in triples:
-        if len(item) != 3:
-            raise GraphFormatError(f"malformed edge entry {item!r}")
-        r, t, s = (int(v) for v in item)
-        if not 0 <= r < num_relations:
-            raise GraphFormatError(f"relation index out of range: {r}")
-        if not (0 <= t < num_nodes and 0 <= s < num_nodes):
-            raise GraphFormatError(f"node index out of range in edge ({r}, {t}, {s})")
-        key = (r, t, s)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({r}, {t}, {s})")
-        seen.add(key)
-        per_rel[r].append((t, s))
-    out = []
-    for pairs in per_rel:
-        pairs.sort()
-        tgt = _frozen(np.array([p[0] for p in pairs], dtype=np.int64))
-        src = _frozen(np.array([p[1] for p in pairs], dtype=np.int64))
-        out.append((tgt, src))
-    return tuple(out)
+    """Read-only per-relation (targets, sources) int64 arrays of the in-range
+    edges (rel[i], tgt[i], src[i]) in (relation, target, source) order; only
+    input out of that order is sorted, and a repeated edge raises."""
+    if np.any(_steps(rel, tgt, src) <= 0):
+        if num_relations * num_nodes * num_nodes < 2**63:
+            order = np.argsort((rel * num_nodes + tgt) * num_nodes + src)
+        else:  # that key would wrap
+            order = np.lexsort((src, tgt, rel))
+        rel, tgt, src = rel[order], tgt[order], src[order]
+        dup = np.flatnonzero(_steps(rel, tgt, src) == 0)
+        if dup.size:
+            i = dup[0]
+            raise GraphFormatError(f"duplicate edge ({rel[i]}, {tgt[i]}, {src[i]})")
+    bounds = np.searchsorted(rel, np.arange(num_relations + 1)).tolist()
+    return tuple((_frozen(tgt[a:b]), _frozen(src[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
 def build_graph(
@@ -167,8 +169,22 @@ def build_graph(
     feature_dim: int | None = None,
     self_relation: bool = False,
 ) -> RelGraph:
-    edges = _canonical_edges(num_nodes, num_relations, triples)
-    if self_relation:
+    try:
+        arr = np.array(list(triples), dtype=np.int64)
+        if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != 3):
+            raise ValueError(f"got shape {arr.shape}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphFormatError(
+            f"edges must be [relation, target, source] integer triples: {exc}"
+        ) from None
+    rel, tgt, src = cols = np.ascontiguousarray(arr.reshape(-1, 3).T)
+    unsigned = cols.view(np.uint64)  # a negative id reads as 2**63 or more
+    bad = (unsigned[0] >= num_relations) | (unsigned[1] >= num_nodes) | (unsigned[2] >= num_nodes)
+    if bad.any():
+        i = bad.argmax()
+        raise GraphFormatError(f"edge ({rel[i]}, {tgt[i]}, {src[i]}) out of range")
+    edges = _canonical_edges(num_nodes, num_relations, rel, tgt, src)
+    if self_relation and edges:
         ids = np.arange(num_nodes)
         if not all(np.array_equal(half, ids) for half in edges[-1]):
             raise GraphFormatError("the self relation must hold one (i, i) edge per node")
@@ -475,7 +491,7 @@ def _graph_payload(graph: RelGraph) -> dict:
         "num_relations": graph.num_relations,
         "feature_dim": graph.feature_dim,
         "features": ONE_HOT if graph.one_hot_features else graph.features.tolist(),
-        "edges": [[r, t, s] for (r, t, s) in graph.edge_triples()],
+        "edges": graph.edge_triples(),
     }
     if graph.self_relation:
         payload["self_relation"] = True
@@ -498,6 +514,8 @@ def parse_dataset(document) -> NodeTask | GraphTask:
     """Reads either a single-graph document or a {"graphs": [...]} collection."""
     doc = _document(document)
     if "graphs" in doc:
+        if not isinstance(doc["graphs"], list):
+            raise GraphFormatError('"graphs" must be a list of graph documents')
         graphs = tuple(_graph_body(g) for g in doc["graphs"])
         labels = _parse_labels(doc.get("labels"), 0, len(graphs))
         if labels is None or labels.kind != "graph":
@@ -565,44 +583,32 @@ def batch_graphs(graphs: Sequence[RelGraph]) -> BatchedGraph:
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
-    edges = []
-    for r in range(first.num_relations):
-        tgt = np.concatenate([np.asarray(g.edges[r][0], dtype=np.int64) for g in graphs])
-        src = np.concatenate([np.asarray(g.edges[r][1], dtype=np.int64) for g in graphs])
-        counts = [len(g.edges[r][0]) for g in graphs]
-        if tgt.shape != src.shape or tgt.ndim != 1:
-            raise GraphFormatError(f"relation {r} target and source lists do not align")
-        bound = np.repeat(sizes, counts)
-        if np.any((tgt < 0) | (tgt >= bound) | (src < 0) | (src >= bound)):
-            raise GraphFormatError(f"node index out of range in relation {r} of a batch member")
-        shift = np.repeat(offsets, counts)
-        tgt += shift
-        src += shift
-        key = tgt * max(total, 1) + src
-        # canonical members give strictly increasing keys: already sorted
-        # and free of duplicates
-        if np.any(np.diff(key) <= 0):
-            order = np.argsort(key, kind="stable")
-            if np.any(np.diff(key[order]) == 0):
-                raise GraphFormatError(f"duplicate edge in relation {r} of a batch member")
-            tgt, src = tgt[order], src[order]
-        edges.append((_frozen(tgt), _frozen(src)))
-    features = (
-        np.concatenate([g.features for g in graphs], axis=0)
-        if total
-        else np.zeros((0, first.feature_dim))
-    )
+    # relation-major: relation r's edges of every member, in member order
+    relations, count = first.num_relations, len(graphs)
+    pieces = [g.edges[r] for r in range(relations) for g in graphs]
+    lengths = [len(t) for t, _ in pieces]
+    if lengths != [len(s) for _, s in pieces]:
+        i = next(i for i, (t, s) in enumerate(pieces) if len(t) != len(s))
+        raise GraphFormatError(f"relation {i // count} target and source lists do not align")
+    rel = np.repeat(np.arange(relations).repeat(count), lengths)
+    member = np.repeat(np.tile(np.arange(count), relations), lengths)
+    tgt, src = (np.concatenate(half).astype(np.int64, copy=False) for half in zip(*pieces))
+    bound = sizes.view(np.uint64)[member]  # unsigned: a negative id reads as 2**63 or more
+    bad = (tgt.view(np.uint64) >= bound) | (src.view(np.uint64) >= bound)
+    if bad.any():
+        i = bad.argmax()
+        raise GraphFormatError(
+            f"edge ({rel[i]}, {tgt[i]}, {src[i]}) out of range in batch member {member[i]}"
+        )
+    shift = offsets[member]
+    edges = _canonical_edges(total, relations, rel, tgt + shift, src + shift)
+    features = np.concatenate([g.features for g in graphs])
+    features = _frozen(_checked_features(features, total, first.feature_dim))
     merged = RelGraph(
-        total,
-        first.num_relations,
-        tuple(edges),
-        _frozen(_checked_features(features, total, first.feature_dim)),
-        first.feature_dim,
-        False,
-        first.self_relation,
+        total, relations, edges, features, first.feature_dim, False, first.self_relation
     )
-    segment = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
-    return BatchedGraph(merged, _frozen(segment), len(graphs))
+    segment = np.repeat(np.arange(count, dtype=np.int64), sizes)
+    return BatchedGraph(merged, _frozen(segment), count)
 
 
 # ---------------------------------------------------------------------------
@@ -647,19 +653,11 @@ def generate_planted(
     for gi in range(n_graphs):
         label = int(labels[gi])
         signal_relation = 0 if label == 1 else 1
-        triples = [(signal_relation, READOUT_NODE, MARKER_NODE)]
-        used = {tuple(triples[0])}
-        placed = 0
-        while placed < noise_edges:
+        triples = {(signal_relation, READOUT_NODE, MARKER_NODE)}
+        while len(triples) <= noise_edges:
+            # a repeated draw is dropped; the edges' order is canonicalized
             r = 2 + int(rng.integers(num_relations - 2))
-            t = int(rng.integers(nodes_per_graph))
-            s = int(rng.integers(nodes_per_graph))
-            key = (r, t, s)
-            if key in used:
-                continue
-            used.add(key)
-            triples.append(key)
-            placed += 1
+            triples.add((r, int(rng.integers(nodes_per_graph)), int(rng.integers(nodes_per_graph))))
         features = rng.normal(size=(nodes_per_graph, feature_dim))
         features[MARKER_NODE, 0] += 2.0
         features[READOUT_NODE, 1] += 2.0

@@ -375,7 +375,7 @@ def _objective(sweep: _Sweep, config: dict, model_seed: int, train_seed: int, re
             record["trained_basis"] = {"basis_w": model.layer1.basis_w, "basis_a": model.layer1.basis_a}
         return train(model, on, tcfg)
 
-    if isinstance(task, NodeTask) or not sweep.folds:
+    if sweep.folds is None:
         result = fit(task)
         metric = "val_accuracy" if isinstance(task, NodeTask) else "val_metric"
         return result.best_metric, {
@@ -482,12 +482,19 @@ def run_sweep(
     """Runs (or resumes) a random search and returns all records in trial
     order. Trials already present in record_path are not recomputed; a
     record whose seed, variant or configuration differs from what this call
-    derives for its trial id raises ValueError, and so does a fold_limit
-    below 1, before any record is written."""
+    derives for its trial id raises ValueError, and so do folds or a
+    fold_limit on a node task, a fold_limit without folds, fewer than 2
+    folds and a fold_limit below 1, before any record is written."""
     if num_trials < 1:
         raise ValueError("need at least one trial")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
+    if isinstance(task, NodeTask) and (folds is not None or fold_limit is not None):
+        raise ValueError("folds and fold_limit apply to graph tasks only")
+    if fold_limit is not None and folds is None:
+        raise ValueError("fold_limit applies only with folds")
+    if folds is not None and folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
     if fold_limit is not None and fold_limit < 1:
         raise ValueError(f"fold_limit must be positive, got {fold_limit}")
     path = Path(record_path)

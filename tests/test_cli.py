@@ -642,6 +642,50 @@ def test_sweep_rejects_a_malformed_space_file(tmp_path, capsys, space, message):
     assert not records.exists()
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [[[0, None, 1]], [5], [[0, 1]], 7],
+    ids=["null-id", "bare-number", "pair", "not-a-list"],
+)
+def test_train_rejects_a_malformed_edge_list(tmp_path, capsys, edges):
+    doc = json.loads(_gen(tmp_path).read_text())
+    doc["graphs"][0]["edges"] = edges
+    data = tmp_path / "malformed.json"
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: edges must be [relation, target, source] integer triples")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("graphs", [5, None], ids=["number", "null"])
+def test_train_rejects_a_graphs_entry_that_is_not_a_list(tmp_path, capsys, graphs):
+    doc = json.loads(_gen(tmp_path).read_text())
+    doc["graphs"] = graphs
+    data = tmp_path / "malformed.json"
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('error: "graphs" must be a list') and "Traceback" not in err
+
+
+def test_a_malformed_edge_list_exits_two_without_a_traceback_from_the_command_line(tmp_path):
+    doc = json.loads(_gen(tmp_path).read_text())
+    doc["graphs"][0]["edges"] = [[0, None, 1]]
+    data = tmp_path / "malformed.json"
+    data.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relgat", "train", "--data", str(data), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -702,6 +746,27 @@ def test_sweep_rejects_a_fold_limit_below_one(tmp_path, capsys):
     assert main(args + ["--epochs", "1", "--folds", "3", "--fold-limit", "0"]) == 2
     err = capsys.readouterr().err
     assert "fold_limit" in err and "Traceback" not in err
+    assert not records.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,flags,message",
+    [
+        ("node", ["--folds", "3", "--fold-limit", "2"], "folds and fold_limit apply to graph tasks only"),
+        ("node", ["--folds", "3"], "folds and fold_limit apply to graph tasks only"),
+        ("graph", ["--fold-limit", "2"], "fold_limit applies only with folds"),
+        ("graph", ["--folds", "1"], "folds must be at least 2"),
+    ],
+    ids=["node-folds-and-limit", "node-folds", "graph-limit-without-folds", "graph-one-fold"],
+)
+def test_sweep_refuses_fold_flags_that_would_do_nothing(tmp_path, capsys, kind, flags, message):
+    data = _one_hot_node_data(tmp_path) if kind == "node" else _gen(tmp_path)
+    records = tmp_path / "records.jsonl"
+    capsys.readouterr()
+    args = ["sweep", "--data", str(data), "--out", str(records), "--trials", "1", "--epochs", "1"]
+    assert main(args + flags) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not records.exists()
 
 

@@ -5,11 +5,14 @@ import copy
 import gc
 import json
 import pickle
+import re
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relgat.graph import (
     MARKER_NODE,
@@ -101,6 +104,133 @@ def test_out_of_range_edge_rejected():
         build_graph(3, 1, [[0, 1, 3]], _features(3, 2))
     with pytest.raises(GraphFormatError):
         build_graph(3, 1, [[1, 0, 0]], _features(3, 2))
+
+
+def _reference_edges(num_relations, triples):
+    # canonical form the plain way: a sorted set of tuples, split by relation
+    edges = sorted(set(map(tuple, triples)))
+    return [
+        tuple(np.array([e[i] for e in edges if e[0] == r], dtype=np.int64) for i in (1, 2))
+        for r in range(num_relations)
+    ]
+
+
+def _assert_canonical(edges, want):
+    assert len(edges) == len(want)
+    for pair, want_pair in zip(edges, want):
+        for got, w in zip(pair, want_pair):
+            assert got.dtype == np.int64 and got.ndim == 1 and not got.flags.writeable
+            assert got.tobytes() == w.tobytes()
+
+
+def _shuffled_triples(data, num_nodes, num_relations, max_size=30):
+    # distinct random triples in random order, and perhaps one of them
+    # again; returns the triples and the repeated one (or None)
+    triple = st.tuples(
+        st.integers(0, num_relations - 1), st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)
+    )
+    triples = list(data.draw(st.permutations(data.draw(st.lists(triple, unique=True, max_size=max_size)))))
+    duplicate = None
+    if triples and data.draw(st.booleans()):
+        duplicate = data.draw(st.sampled_from(triples))
+        triples.insert(data.draw(st.integers(0, len(triples))), duplicate)
+    return triples, duplicate
+
+
+# 3e9 nodes: a flat (relation·n + target)·n + source key wraps int64 from 2 relations on
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_built_edges_equal_a_sorted_set_of_tuples(data):
+    num_nodes = data.draw(st.sampled_from([1, 2, 5, 3_000_000_000]))
+    num_relations = data.draw(st.integers(1, 4))
+    triples, duplicate = _shuffled_triples(data, num_nodes, num_relations)
+    if duplicate is not None:
+        with pytest.raises(GraphFormatError, match=re.escape(f"duplicate edge {duplicate}")):
+            build_graph(num_nodes, num_relations, triples, one_hot=True)
+        return
+    g = build_graph(num_nodes, num_relations, [list(t) for t in triples], one_hot=True)
+    _assert_canonical(g.edges, _reference_edges(num_relations, triples))
+    assert list(map(list, g.edge_triples())) == sorted(map(list, triples))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_batched_edges_equal_a_sorted_set_of_shifted_tuples(data):
+    num_relations = data.draw(st.integers(1, 3))
+    members, shifted, offset = [], [], 0
+    for _ in range(data.draw(st.integers(1, 4))):
+        n = data.draw(st.integers(1, 5))
+        triples, _ = _shuffled_triples(data, n, num_relations, max_size=12)
+        # a directly built member: nothing sorts or checks its edges
+        edges = tuple(
+            tuple(np.array([e[i] for e in triples if e[0] == r], dtype=np.int64) for i in (1, 2))
+            for r in range(num_relations)
+        )
+        members.append(RelGraph(n, num_relations, edges, _features(n, 2), 2))
+        shifted += [(r, t + offset, s + offset) for r, t, s in triples]
+        offset += n
+    repeated = [e for e in shifted if shifted.count(e) > 1]
+    if repeated:
+        # the first duplicate in canonical order is named
+        first = min(repeated)
+        with pytest.raises(GraphFormatError, match=re.escape(f"duplicate edge {first}")):
+            batch_graphs(members)
+        return
+    _assert_canonical(batch_graphs(members).graph.edges, _reference_edges(num_relations, shifted))
+
+
+def test_edges_whose_flat_key_would_overflow_keep_their_relation():
+    n = 3_000_000_000  # 2 relations · n² > 2**63
+    triples = [[1, n - 1, 0], [0, n - 1, n - 1], [1, 0, n - 1], [0, 0, 0]]
+    g = build_graph(n, 2, triples, one_hot=True)
+    assert g.edges[0][0].tolist() == [0, n - 1] and g.edges[0][1].tolist() == [0, n - 1]
+    assert g.edges[1][0].tolist() == [0, n - 1] and g.edges[1][1].tolist() == [n - 1, 0]
+    assert list(map(list, g.edge_triples())) == sorted(triples)
+    with pytest.raises(GraphFormatError, match=re.escape(f"duplicate edge (1, {n - 1}, 0)")):
+        build_graph(n, 2, triples + [[1, n - 1, 0]], one_hot=True)
+
+
+def test_edge_entries_convert_as_int_does():
+    # floats truncate toward zero, numeric strings and booleans are ids
+    mixed = [[0, 1.9, "2"], [True, " 3 ", -0.5], [0.0, False, 2], ("1", 2.0, 3)]
+    plain = [[int(v) for v in e] for e in mixed]
+    g = build_graph(4, 2, mixed, one_hot=True)
+    assert g == build_graph(4, 2, plain, one_hot=True)
+    assert g == build_graph(4, 2, iter(map(tuple, plain)), one_hot=True)
+    assert g == build_graph(4, 2, np.array(plain), one_hot=True)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [7, None, [5], [[0, 1]], [[0, 1, 2, 3]], [[0, None, 1]], [[0, [1], 2]], [[0, 1, 2], [0, 1]],
+     [[0, float("nan"), 1]], [[0, float("inf"), 1]], [[0, 2**70, 1]], [[0, "x", 1]], [[]], "012"],
+)
+def test_a_malformed_edge_list_raises_a_format_error(edges):
+    with pytest.raises(GraphFormatError, match=re.escape("edges must be [relation, target, source]")):
+        build_graph(4, 2, edges, one_hot=True)
+
+
+def test_an_out_of_range_edge_is_named():
+    with pytest.raises(GraphFormatError, match=re.escape("edge (2, 0, 1) out of range")):
+        build_graph(3, 2, [[0, 1, 2], [2, 0, 1]], _features(3, 2))
+    with pytest.raises(GraphFormatError, match=re.escape("edge (0, 1, -1) out of range")):
+        build_graph(3, 2, [[0, 1, -1], [0, 3, 0]], _features(3, 2))
+    with pytest.raises(GraphFormatError, match=re.escape("edge (-1, 0, 0) out of range")):
+        build_graph(3, 2, [[0, 1, 2], [-1, 0, 0]], _features(3, 2))
+
+
+def test_edge_triples_are_the_documents_lists():
+    g = build_graph(4, 2, [[1, 2, 0], [0, 1, 2], [0, 3, 1]], _features(4, 3))
+    assert g.edge_triples() == [[0, 1, 2], [0, 3, 1], [1, 2, 0]]
+    assert json.loads(serialize_graph(g))["edges"] == g.edge_triples()
+    assert all(type(v) is int for e in g.edge_triples() for v in e)
+    assert build_graph(2, 3, [], _features(2, 1)).edge_triples() == []
+
+
+def test_a_collection_whose_graphs_are_not_a_list_raises_a_format_error():
+    for graphs in (5, None, "graphs", {"0": {}}):
+        with pytest.raises(GraphFormatError, match='"graphs" must be a list'):
+            parse_dataset({"graphs": graphs})
 
 
 def test_feature_shape_mismatch_rejected():

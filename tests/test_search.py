@@ -248,6 +248,26 @@ def test_run_sweep_rejects_a_fold_limit_below_one(tmp_path, fold_limit):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "kind,folds,fold_limit,message",
+    [
+        ("node", 3, 2, "graph tasks only"),
+        ("node", 3, None, "graph tasks only"),
+        ("node", None, 2, "graph tasks only"),
+        ("graph", None, 2, "only with folds"),
+        ("graph", 0, None, "at least 2"),
+        ("graph", 1, 1, "at least 2"),
+    ],
+)
+def test_run_sweep_refuses_fold_arguments_that_would_do_nothing(tmp_path, kind, folds, fold_limit, message):
+    # a node task never folds, and a fold_limit without folds limits nothing
+    task = _self_relation_node_task() if kind == "node" else _tiny_task(10)
+    path = tmp_path / "sub" / "folds.jsonl"
+    with pytest.raises(ValueError, match=message):
+        run_sweep(task, _TINY_SPACE, 1, 3, path, folds=folds, fold_limit=fold_limit)
+    assert not path.parent.exists()
+
+
 def test_parallel_sweep_submits_trial_ids_only(tmp_path, monkeypatch):
     submitted = []
 

@@ -8,6 +8,9 @@ the workloads from perfbench/, which this script only reads. For every
 workload and seed it prints one JSON line of hashes (sha256, first 16 hex
 digits) of
 
+- data: the workload task's serialize_dataset document, the document a
+  parse_dataset round trip of it serializes to, and, for graph tasks, the
+  edge arrays of batch_graphs over each non-empty split;
 - history: the 3-epoch train() histories of two models built alike from the
   workload's model and trial-0 configuration, with patience 3, as the
   benchmark trains it; both train on the same task object, so the second
@@ -76,6 +79,17 @@ def _params_hash(params: dict) -> str:
     return _hash(*[p for name, v in params.items() for p in (name, list(v.shape), v.tobytes())])
 
 
+def _data_hash(task) -> str:
+    doc = relgat.serialize_dataset(task)
+    parts = [doc.encode(), relgat.serialize_dataset(relgat.parse_dataset(doc)).encode()]
+    if isinstance(task, relgat.GraphTask):
+        for split in ("train", "validation", "test"):
+            if task.split.part(split):
+                batch = relgat.batch_graphs([task.graphs[i] for i in task.split.part(split)])
+                parts += [p for pair in batch.graph.edges for a in pair for p in (a.dtype.str, a.tobytes())]
+    return _hash(*parts)
+
+
 def _scored_tasks(task) -> list:
     """The task's non-empty splits, then every one-graph test task."""
     parts = [(task, split) for split in ("train", "validation", "test") if task.split.part(split)]
@@ -107,7 +121,7 @@ def workload_hashes(name: str, seed: int) -> dict:
     w = WORKLOADS[name]
     task, config = w.build(seed), w.config()
     tcfg = _train_config(config, seed, {"epochs": EPOCHS, "patience": EPOCHS})
-    out = {"workload": name, "seed": seed, **_fit_hashes(lambda: build_model(w, task, config, seed), task, tcfg)}
+    out = {"workload": name, "seed": seed, "data": _data_hash(task), **_fit_hashes(lambda: build_model(w, task, config, seed), task, tcfg)}
     with tempfile.TemporaryDirectory() as d:
         records = relgat.run_sweep(
             task,
