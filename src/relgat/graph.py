@@ -129,31 +129,19 @@ class RelGraph:
         return np.column_stack([rel, *map(np.concatenate, zip(*self.edges))]).tolist()
 
 
-def _steps(rel: np.ndarray, tgt: np.ndarray, src: np.ndarray) -> np.ndarray:
-    # per consecutive pair of edges, the difference in its first differing
-    # id, or 0; ids are non-negative, so no difference overflows
-    step = src[1:] - src[:-1]
-    for key in (tgt, rel):
-        diff = key[1:] - key[:-1]
-        step = np.where(diff != 0, diff, step)
-    return step
-
-
 def _canonical_edges(
-    num_nodes: int, num_relations: int, rel: np.ndarray, tgt: np.ndarray, src: np.ndarray
+    num_relations: int, rel: np.ndarray, tgt: np.ndarray, src: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Read-only per-relation (targets, sources) int64 arrays of the in-range
     edges (rel[i], tgt[i], src[i]) in (relation, target, source) order; only
     input out of that order is sorted, and a repeated edge raises."""
-    if np.any(_steps(rel, tgt, src) <= 0):
-        if num_relations * num_nodes * num_nodes < 2**63:
-            order = np.argsort((rel * num_nodes + tgt) * num_nodes + src)
-        else:  # that key would wrap
-            order = np.lexsort((src, tgt, rel))
+    dr, dt, ds = (ids[1:] - ids[:-1] for ids in (rel, tgt, src))
+    if not ((dr > 0) | (dr == 0) & ((dt > 0) | (dt == 0) & (ds > 0))).all():
+        order = np.lexsort((src, tgt, rel))
         rel, tgt, src = rel[order], tgt[order], src[order]
-        dup = np.flatnonzero(_steps(rel, tgt, src) == 0)
-        if dup.size:
-            i = dup[0]
+        same = (rel[1:] == rel[:-1]) & (tgt[1:] == tgt[:-1]) & (src[1:] == src[:-1])
+        if same.any():
+            i = same.argmax()
             raise GraphFormatError(f"duplicate edge ({rel[i]}, {tgt[i]}, {src[i]})")
     bounds = np.searchsorted(rel, np.arange(num_relations + 1)).tolist()
     return tuple((_frozen(tgt[a:b]), _frozen(src[a:b])) for a, b in zip(bounds, bounds[1:]))
@@ -177,13 +165,13 @@ def build_graph(
         raise GraphFormatError(
             f"edges must be [relation, target, source] integer triples: {exc}"
         ) from None
-    rel, tgt, src = cols = np.ascontiguousarray(arr.reshape(-1, 3).T)
-    unsigned = cols.view(np.uint64)  # a negative id reads as 2**63 or more
-    bad = (unsigned[0] >= num_relations) | (unsigned[1] >= num_nodes) | (unsigned[2] >= num_nodes)
+    arr = arr.reshape(-1, 3)
+    bad = ((arr < 0) | (arr >= (num_relations, num_nodes, num_nodes))).any(axis=1)
     if bad.any():
-        i = bad.argmax()
-        raise GraphFormatError(f"edge ({rel[i]}, {tgt[i]}, {src[i]}) out of range")
-    edges = _canonical_edges(num_nodes, num_relations, rel, tgt, src)
+        raise GraphFormatError(f"edge {tuple(arr[bad.argmax()].tolist())} out of range")
+    # one array per column, so the graph's edges keep no relation column alive
+    rel, tgt, src = (np.ascontiguousarray(col) for col in arr.T)
+    edges = _canonical_edges(num_relations, rel, tgt, src)
     if self_relation and edges:
         ids = np.arange(num_nodes)
         if not all(np.array_equal(half, ids) for half in edges[-1]):
@@ -418,6 +406,10 @@ def _graph_body(doc: dict) -> RelGraph:
         features = doc["features"]
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"malformed document: {exc}") from None
+    if not isinstance(edges, list):
+        raise GraphFormatError(
+            f"edges must be [relation, target, source] integer triples in a list, got {edges!r}"
+        )
     self_relation = doc.get("self_relation", False)
     if not isinstance(self_relation, bool):
         raise GraphFormatError("self_relation must be true or false")
@@ -593,15 +585,15 @@ def batch_graphs(graphs: Sequence[RelGraph]) -> BatchedGraph:
     rel = np.repeat(np.arange(relations).repeat(count), lengths)
     member = np.repeat(np.tile(np.arange(count), relations), lengths)
     tgt, src = (np.concatenate(half).astype(np.int64, copy=False) for half in zip(*pieces))
-    bound = sizes.view(np.uint64)[member]  # unsigned: a negative id reads as 2**63 or more
-    bad = (tgt.view(np.uint64) >= bound) | (src.view(np.uint64) >= bound)
+    bound = sizes[member]
+    bad = (tgt < 0) | (tgt >= bound) | (src < 0) | (src >= bound)
     if bad.any():
         i = bad.argmax()
         raise GraphFormatError(
             f"edge ({rel[i]}, {tgt[i]}, {src[i]}) out of range in batch member {member[i]}"
         )
     shift = offsets[member]
-    edges = _canonical_edges(total, relations, rel, tgt + shift, src + shift)
+    edges = _canonical_edges(relations, rel, tgt + shift, src + shift)
     features = np.concatenate([g.features for g in graphs])
     features = _frozen(_checked_features(features, total, first.feature_dim))
     merged = RelGraph(

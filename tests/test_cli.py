@@ -644,8 +644,8 @@ def test_sweep_rejects_a_malformed_space_file(tmp_path, capsys, space, message):
 
 @pytest.mark.parametrize(
     "edges",
-    [[[0, None, 1]], [5], [[0, 1]], 7],
-    ids=["null-id", "bare-number", "pair", "not-a-list"],
+    [[[0, None, 1]], [5], [[0, 1]], 7, "", {}],
+    ids=["null-id", "bare-number", "pair", "not-a-list", "empty-string", "empty-object"],
 )
 def test_train_rejects_a_malformed_edge_list(tmp_path, capsys, edges):
     doc = json.loads(_gen(tmp_path).read_text())

@@ -210,6 +210,24 @@ def test_a_malformed_edge_list_raises_a_format_error(edges):
         build_graph(4, 2, edges, one_hot=True)
 
 
+@pytest.mark.parametrize("edges", [7, None, "", "012", {}, {"0": [0, 1, 2]}])
+def test_a_document_whose_edges_are_not_a_list_raises_a_format_error(edges):
+    doc = {"num_nodes": 4, "num_relations": 2, "features": [[0.0]] * 4, "edges": edges}
+    with pytest.raises(GraphFormatError, match=re.escape("edges must be [relation, target, source]")):
+        parse_dataset(doc)
+
+
+def test_built_edges_hold_no_relation_column():
+    # every parsed document is in canonical order, so nothing is sorted and
+    # each edge array is a slice of a target or source column alone
+    g = build_graph(5, 3, [[r, t, (t + r) % 5] for r in range(3) for t in range(5)], _features(5, 2))
+    parsed, _, _ = parse_graph(serialize_graph(g))
+    for graph in (g, parsed, batch_graphs([g, g]).graph):
+        for pair in graph.edges:
+            for half in pair:
+                assert half.base is None or half.base.size <= graph.num_edges
+
+
 def test_an_out_of_range_edge_is_named():
     with pytest.raises(GraphFormatError, match=re.escape("edge (2, 0, 1) out of range")):
         build_graph(3, 2, [[0, 1, 2], [2, 0, 1]], _features(3, 2))
