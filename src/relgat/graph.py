@@ -14,6 +14,7 @@ canonical document then serializing it reproduces the input byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -266,6 +267,11 @@ class Split:
 
     def __post_init__(self):
         parts = [set(self.train), set(self.validation), set(self.test)]
+        for name, part in zip(("train", "validation", "test"), parts):
+            ids = getattr(self, name)
+            if len(ids) != len(part):
+                repeated = next(i for i, n in Counter(ids).items() if n > 1)
+                raise GraphFormatError(f"split {name!r} lists id {repeated} more than once")
         total = sum(len(p) for p in parts)
         if len(parts[0] | parts[1] | parts[2]) != total:
             raise GraphFormatError("split parts must be disjoint")
@@ -336,6 +342,13 @@ def _integer(value, field: str) -> int:
         raise GraphFormatError(f"{field} must be an integer, got {value!r}") from None
 
 
+def _reals(value, field: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise GraphFormatError(f"{field} must be an array of numbers") from None
+
+
 def _parse_labels(obj, num_nodes: int, num_graphs: int) -> LabelSet | None:
     if obj is None:
         return None
@@ -366,7 +379,7 @@ def _parse_labels(obj, num_nodes: int, num_graphs: int) -> LabelSet | None:
     if gc.ndim != 2 or gc.shape[0] != num_graphs:
         raise GraphFormatError("graph_classes must carry one row per graph")
     weights = obj.get("class_weights")
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    w = None if weights is None else _reals(weights, "class_weights")
     return LabelSet(
         "graph",
         _integer(obj["num_classes"], "num_classes"),
@@ -419,9 +432,9 @@ def _graph_body(doc: dict) -> RelGraph:
         num_nodes,
         num_relations,
         edges,
-        None if one_hot else np.asarray(features, dtype=np.float64),
+        None if one_hot else _reals(features, "features"),
         one_hot=one_hot,
-        feature_dim=None if declared is None else int(declared),
+        feature_dim=None if declared is None else _integer(declared, "feature_dim"),
         self_relation=self_relation,
     )
 

@@ -438,9 +438,7 @@ def rgcn_forward(
             continue
         deg = np.bincount(tgt, minlength=num_nodes)
         alpha = 1.0 / deg[tgt]
-        part = segment_reduce(
-            scale_rows(gather_rows(g, src), alpha), tgt, num_nodes, "sum"
-        )
+        part = segment_reduce(scale_rows(gather_rows(g, src), alpha), tgt, num_nodes)
         acc = part if acc is None else add(acc, part)
     if acc is None:
         acc = mul(matmul(h, kernels[0]), 0.0)

@@ -43,7 +43,6 @@ __all__ = [
     "load_space",
     "run_sweep",
     "sample_config",
-    "save_space",
     "transductive_space",
     "trial_seeds",
 ]
@@ -74,9 +73,6 @@ class Uniform:
     def contains(self, value) -> bool:
         return isinstance(value, (int, float)) and self.low <= value <= self.high
 
-    def to_dict(self) -> dict:
-        return {"kind": "uniform", "low": self.low, "high": self.high}
-
 
 @dataclass(frozen=True)
 class LogUniform:
@@ -94,9 +90,6 @@ class LogUniform:
     def contains(self, value) -> bool:
         return isinstance(value, (int, float)) and self.low <= value <= self.high
 
-    def to_dict(self) -> dict:
-        return {"kind": "log_uniform", "low": self.low, "high": self.high}
-
 
 @dataclass(frozen=True)
 class OneOf:
@@ -112,9 +105,6 @@ class OneOf:
 
     def contains(self, value) -> bool:
         return value in self.options
-
-    def to_dict(self) -> dict:
-        return {"kind": "one_of", "options": list(self.options)}
 
 
 @dataclass(frozen=True)
@@ -143,9 +133,6 @@ class MultiplesOf:
     def contains(self, value) -> bool:
         return value in self.options
 
-    def to_dict(self) -> dict:
-        return {"kind": "multiples_of", "step": self.step, "low": self.low, "high": self.high}
-
 
 _LEGACY_STEPS = {"multiples_of_four": 4, "multiples_of_eight": 8}
 
@@ -165,11 +152,6 @@ def _prior_from_dict(d: dict):
     if kind in _LEGACY_STEPS:
         return MultiplesOf(_LEGACY_STEPS[kind], d["low"], d["high"])
     raise ValueError(f"unknown prior kind {kind!r}")
-
-
-def save_space(space: dict, path) -> None:
-    doc = {name: prior.to_dict() for name, prior in space.items()}
-    Path(path).write_text(json.dumps(doc, indent=2))
 
 
 def load_space(path) -> dict:
@@ -218,6 +200,17 @@ def inductive_space() -> dict:
         "learning_rate": LogUniform(1e-5, 1e-1),
         "use_bias": OneOf(True, False),
     }
+
+
+# the space names a trial reads, by task kind; the variant sets logit_mode
+# and norm_kind, a trial never sets embed_dim, and node tasks train full-batch
+_READ_BY_EVERY_TRIAL = {"heads", "use_bias", "feature_dropout", "edge_dropout", "learning_rate", "l2"} | {
+    f"l2_{group}" for group in L2_GROUPS
+}
+_READ_BY_TRIALS = {
+    "node": _READ_BY_EVERY_TRIAL | {"hidden_units", "basis_w", "basis_a"},
+    "graph": _READ_BY_EVERY_TRIAL | {"graph_units", "dense_units", "batch_size"},
+}
 
 
 def trial_seeds(master_seed: int, trial_id: int) -> tuple[int, int, int]:
@@ -365,8 +358,7 @@ def _objective(sweep: _Sweep, config: dict, model_seed: int, train_seed: int, re
     sizes, as its layers clamp them to relations x heads, go into the
     record as trained_basis before it trains."""
     task = sweep.task
-    # a trial never sets embed_dim, even when its space names one
-    hyper = {**config, **sweep.variant, "embed_dim": None}
+    hyper = {**config, **sweep.variant}
     tcfg = _train_config(config, train_seed, sweep.overrides)
 
     def fit(on):
@@ -484,7 +476,8 @@ def run_sweep(
     record whose seed, variant or configuration differs from what this call
     derives for its trial id raises ValueError, and so do folds or a
     fold_limit on a node task, a fold_limit without folds, fewer than 2
-    folds and a fold_limit below 1, before any record is written."""
+    folds, a fold_limit below 1 and a space name that no trial of the task
+    reads, before any record is written."""
     if num_trials < 1:
         raise ValueError("need at least one trial")
     if parallelism < 1:
@@ -497,6 +490,10 @@ def run_sweep(
         raise ValueError(f"folds must be at least 2, got {folds}")
     if fold_limit is not None and fold_limit < 1:
         raise ValueError(f"fold_limit must be positive, got {fold_limit}")
+    kind = "node" if isinstance(task, NodeTask) else "graph"
+    unread = sorted(set(space) - _READ_BY_TRIALS[kind])
+    if unread:
+        raise ValueError(f"no trial of a {kind} task reads the space names {', '.join(map(repr, unread))}")
     path = Path(record_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     variant = {"logit_mode": logit_mode, "norm_kind": norm_kind}

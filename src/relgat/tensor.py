@@ -33,7 +33,6 @@ __all__ = [
     "Tensor",
     "add",
     "block_matmul",
-    "concat_cols",
     "concat_rows",
     "edge_attention",
     "edge_messages",
@@ -509,52 +508,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape.record("matmul", out, backward)
 
 
-def block_matmul(
-    x: Tensor,
-    w: Tensor,
-    blocks: int,
-    *,
-    shared: str | None = None,
-) -> Tensor:
+def block_matmul(x: Tensor, w: Tensor, blocks: int, *, shared: str) -> Tensor:
     """Many small matrix products as one op: block b of the result is x_b @ w_b.
 
     Blocks are stacked row-wise: the result is (blocks*n, m) with block b in
-    rows b*n:(b+1)*n. x is blocked, (blocks*n, f) with x_b its b-th row
-    block, or one (n, f) matrix shared by every block (shared="x"). w is
-    blocked, (blocks*f, m) with w_b its b-th row block, or one (f, m) kernel
-    shared by every block (shared="w").
+    rows b*n:(b+1)*n. One operand is shared by every block. With shared="x",
+    x is one (n, f) matrix and w is blocked, (blocks*f, m) with w_b its b-th
+    row block; with shared="w", w is one (f, m) kernel and x is blocked,
+    (blocks*n, f) with x_b its b-th row block.
 
-    All blocks run as one ``np.matmul`` over (blocks, rows, cols) views, a
+    All blocks run as one ``np.matmul`` over (blocks, rows, cols) views, the
     shared operand being a broadcast view, and it gives every block the same
-    BLAS call, with the same strides, that a separate ``matmul`` makes. A
+    BLAS call, with the same strides, that a separate ``matmul`` makes. The
     shared operand's gradient adds the block terms one at a time in reverse
     block order. Values and gradients therefore equal those of a loop of
     ``matmul`` ops recorded in block order, bit for bit.
     """
     tape = _check_tape(x, w)
-    if shared not in (None, "x", "w"):
-        raise ValueError(f"shared must be None, 'x' or 'w', got {shared!r}")
+    if shared not in ("x", "w"):
+        raise ValueError(f"shared must be 'x' or 'w', got {shared!r}")
     if x.ndim != 2 or w.ndim != 2 or blocks < 1:
         raise ValueError(f"block_matmul expects matrices and blocks >= 1, got {x.shape}, {w.shape}")
     n = x.shape[0] if shared == "x" else x.shape[0] // blocks
     f, m = x.shape[1], w.shape[1]
-    if (shared != "x" and x.shape[0] != blocks * n) or w.shape[0] != (f if shared == "w" else blocks * f):
+    if (x.shape[0], w.shape[0]) != ((n, blocks * f) if shared == "x" else (blocks * n, f)):
         raise ValueError(f"block_matmul shape mismatch: {x.shape} @ {w.shape} in {blocks} blocks")
     x_id, w_id = x.id, w.id
     x3 = x.data[None] if shared == "x" else x.data.reshape(blocks, n, f)
-    w3 = w.data[None] if shared == "w" else w.data.reshape(blocks, f, m)
+    w3 = w.data.reshape(blocks, f, m) if shared == "x" else w.data[None]
     out = np.matmul(x3, w3).reshape(blocks * n, m)
 
     def backward(g, grads):
         g3 = g.reshape(blocks, n, m)
         if shared == "x":
             _acc_products(grads, x_id, g3, w3.transpose(0, 2, 1))
+            _acc(grads, w_id, np.matmul(x3.transpose(0, 2, 1), g3).reshape(blocks * f, m))
         else:
             _acc(grads, x_id, np.matmul(g3, w3.transpose(0, 2, 1)).reshape(blocks * n, f))
-        if shared == "w":
             _acc_products(grads, w_id, x3.transpose(0, 2, 1), g3)
-        else:
-            _acc(grads, w_id, np.matmul(x3.transpose(0, 2, 1), g3).reshape(blocks * f, m))
 
     return tape.record("block_matmul", out, backward)
 
@@ -711,17 +702,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return a.tape.record("reshape", out, backward)
 
 
-def _split_backward(parts: Sequence[Tensor], sizes: list[int], axis: int) -> Callable:
-    ids = [p.id for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g, grads):
-        for i, o, n in zip(ids, offsets, sizes):
-            _acc(grads, i, g[o:o + n] if axis == 0 else g[:, o:o + n])
-
-    return backward
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Joins flat tensors end to end, or stacks matrices with equal column
     counts row-wise."""
@@ -730,19 +710,14 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     tape = _check_tape(*parts)
     if any(p.ndim not in (1, 2) for p in parts) or len({p.shape[1:] for p in parts}) != 1:
         raise ValueError("concat_rows expects flat tensors, or matrices with equal column counts")
-    out = np.concatenate([p.data for p in parts])
-    return tape.record("concat_rows", out, _split_backward(parts, [p.shape[0] for p in parts], 0))
+    ids = [p.id for p in parts]
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
 
+    def backward(g, grads):
+        for i, lo, hi in zip(ids, bounds, bounds[1:]):
+            _acc(grads, i, g[lo:hi])
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    tape = _check_tape(*parts)
-    rows = {p.shape[0] for p in parts if p.ndim == 2}
-    if any(p.ndim != 2 for p in parts) or len(rows) != 1:
-        raise ValueError("concat_cols expects matrices with equal row counts")
-    out = np.concatenate([p.data for p in parts], axis=1)
-    return tape.record("concat_cols", out, _split_backward(parts, [p.shape[1] for p in parts], 1))
+    return tape.record("concat_rows", np.concatenate([p.data for p in parts]), backward)
 
 
 def rowsum(a: Tensor) -> Tensor:
@@ -805,47 +780,25 @@ def _row_scale(m: Tensor, v, rows: int):
     return tape, c[:, None], v_id
 
 
-def segment_reduce(values: Tensor, segments, num_segments: int, mode: str = "sum") -> Tensor:
-    """Per-segment sum, mean or max over rows. Empty segments yield zero rows.
+def segment_reduce(values: Tensor, segments, num_segments: int) -> Tensor:
+    """Per-segment sum of a matrix's rows: (rows, cols) -> (num_segments,
+    cols). Empty segments yield zero rows.
 
     segments holds one id per row, or a SegmentPlan of them. Sums
     accumulate each segment in value-sorted order, so the result is bitwise
-    independent of the order the rows are listed in. The max's gradient
-    goes to the first row holding each segment's max.
+    independent of the order the rows are listed in.
     """
-    if mode not in ("sum", "mean", "max"):
-        raise ValueError(f"unknown reduce mode {mode!r}")
-    if values.ndim not in (1, 2):
-        raise ValueError(f"segment_reduce expects flat or matrix input, got {values.shape}")
-    flat_in = values.ndim == 1
-    data = values.data[:, None] if flat_in else values.data
-    rows, cols = data.shape
-    plan = _plan(segments, num_segments, rows)
-    segs, counts = plan.ids, plan.counts
-    values_id = values.id
-    gap, winners = np.inf, None
-    if mode == "max":
-        _, out, gap, winners = _maxima(data, plan, values.tape.differentiable)
-    else:
-        out = _sums(data, plan)
-        if mode == "mean":
-            out = out / np.maximum(counts, 1)[:, None]
+    if values.ndim != 2:
+        raise ValueError(f"segment_reduce expects a matrix, got shape {values.shape}")
+    plan = _plan(segments, num_segments, values.shape[0])
+    segs, values_id = plan.ids, values.id
 
-    # captures shapes, ids and segment arrays, never data: the input can be
-    # the largest matrix of a forward
+    # captures ids and the segment array, never data: the input can be the
+    # largest matrix of a forward
     def backward(g, grads):
-        g2 = g[:, None] if flat_in else g
-        if mode == "max":
-            win_segs, win_cols, win_rows = winners
-            pulled = np.zeros((rows, cols))
-            pulled[win_rows, win_cols] = g2[win_segs, win_cols]
-        else:
-            pulled = g2[segs]
-            if mode == "mean":
-                pulled = pulled / np.maximum(counts, 1)[segs, None]
-        _acc(grads, values_id, pulled[:, 0] if flat_in else pulled)
+        _acc(grads, values_id, g[segs])
 
-    return values.tape.record("segment_reduce", out[:, 0] if flat_in else out, backward, kink_gap=gap)
+    return values.tape.record("segment_reduce", _sums(values.data, plan), backward)
 
 
 def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
@@ -853,9 +806,9 @@ def segment_mean_max(values: Tensor, segments, num_segments: int) -> Tensor:
     (rows, cols) -> (num_segments, 2*cols). Empty segments yield zero rows.
     segments holds one id per row, or a SegmentPlan of them.
 
-    Both halves come from one sort, and equal those of
-    ``concat_cols([segment_reduce(.., "mean"), segment_reduce(.., "max")])``
-    bit for bit: values, gradient and kink gap.
+    Both halves come from one sort. The mean half is ``segment_reduce``'s
+    sums over the row counts, bit for bit, and the max half's gradient goes
+    to the first row holding each segment's max.
     """
     if values.ndim != 2:
         raise ValueError(f"segment_mean_max expects a matrix, got shape {values.shape}")

@@ -528,18 +528,32 @@ def test_train_rejects_a_labels_block_without_a_field(tmp_path, capsys, kind, fi
         ("splits", "train", [[0]], "split 'train' must be an integer"),
         ("labels", "graph_classes", None, "graph_classes must be an integer matrix"),
         ("labels", "class_weights", [[1.0, None]], "class_weights must be finite"),
+        ("labels", "class_weights", {}, "class_weights must be an array of numbers"),
+        ("graph", "features", {}, "features must be an array of numbers"),
+        ("graph", "feature_dim", [], "feature_dim must be an integer"),
+        # the graph would count twice in every epoch
+        ("splits", "train", [0, 1, 0], "split 'train' lists id 0 more than once"),
     ],
-    ids=["num-classes-null", "split-id-not-an-integer", "graph-classes-null", "class-weight-null"],
+    ids=[
+        "num-classes-null",
+        "split-id-not-an-integer",
+        "graph-classes-null",
+        "class-weight-null",
+        "class-weights-object",
+        "features-object",
+        "feature-dim-list",
+        "split-id-repeated",
+    ],
 )
 def test_train_rejects_a_field_of_the_wrong_type(tmp_path, capsys, block, field, value, message):
     doc = json.loads(_gen(tmp_path).read_text())
-    doc[block][field] = value
+    (doc["graphs"][0] if block == "graph" else doc[block])[field] = value
     data = tmp_path / "mistyped.json"
     data.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -768,6 +782,23 @@ def test_sweep_refuses_fold_flags_that_would_do_nothing(tmp_path, capsys, kind, 
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not records.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [("graph", "x"), ("graph", "logit_mode"), ("graph", "basis_w"), ("node", "embed_dim"), ("node", "batch_size")],
+)
+def test_sweep_refuses_a_space_name_no_trial_reads(tmp_path, capsys, kind, name):
+    data = _one_hot_node_data(tmp_path) if kind == "node" else _gen(tmp_path)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({name: {"kind": "uniform", "low": 0, "high": 1}}))
+    records = tmp_path / "records.jsonl"
+    capsys.readouterr()
+    args = ["sweep", "--data", str(data), "--out", str(records), "--space", str(path)]
+    assert main(args + ["--trials", "1", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no trial of a {kind} task reads the space names '{name}'")
+    assert "Traceback" not in err and not records.exists()
 
 
 def test_sweep_resume_refuses_a_log_from_another_sweep(tmp_path, capsys):

@@ -307,6 +307,11 @@ def test_node_task_document_shape_counts():
     assert serialize_dataset(back) == doc
 
 
+def test_split_rejects_an_id_repeated_within_a_part():
+    with pytest.raises(GraphFormatError, match="split 'validation' lists id 3 more than once"):
+        Split(train=(0,), validation=(3, 2, 3, 2), test=())
+
+
 def test_split_rejects_overlap_and_unlabelled():
     with pytest.raises(GraphFormatError, match="disjoint"):
         Split(train=(0, 1), validation=(1,), test=())

@@ -22,7 +22,6 @@ from relgat.layers import (
 from relgat.tensor import (
     Tape,
     add,
-    concat_cols,
     concat_rows,
     gather_rows,
     matmul,
@@ -328,6 +327,18 @@ def test_edge_listing_order_changes_no_edge_array_or_layer_output(data):
         assert outs[0].tobytes() == outs[1].tobytes()
 
 
+def _concat_cols(parts):
+    """Matrices side by side as one recorded op, whose backward hands each
+    part its columns of the gradient."""
+    ids, bounds = [p.id for p in parts], np.cumsum([0] + [p.shape[1] for p in parts])
+
+    def backward(g, grads):
+        for i, lo, hi in zip(ids, bounds, bounds[1:]):
+            grads[i] = g[:, lo:hi] if i not in grads else grads[i] + g[:, lo:hi]
+
+    return parts[0].tape.record("concat_cols", np.concatenate([p.data for p in parts], axis=1), backward)
+
+
 def _per_slot_forward(layer, leaves, edges, num_nodes, h, constant=False):
     """The loop the all-slot forward replaced: per head, one projection,
     logit vector and gather per relation, then one softmax and aggregation."""
@@ -353,12 +364,12 @@ def _per_slot_forward(layer, leaves, edges, num_nodes, h, constant=False):
                 logits.append(attention_logits(g, tgt, src, a, layer.logit_mode))
         att = attention_coefficients(None if constant else logits, edges, num_nodes, kind)
         values = concat_rows([gather_rows(p, src) for p, (_, src) in zip(projected, edges)])
-        agg = segment_reduce(scale_rows(values, att.coefficients), tgt_all, num_nodes, "sum")
+        agg = segment_reduce(scale_rows(values, att.coefficients), tgt_all, num_nodes)
         if layer.use_bias:
             agg = add(agg, leaves[f"{name}.bias.k{k}"])
         head_sums.append(agg)
     if layer.head_agg == "concat":
-        out = head_sums[0] if heads == 1 else concat_cols(head_sums)
+        out = head_sums[0] if heads == 1 else _concat_cols(head_sums)
     else:
         out = head_sums[0]
         for part in head_sums[1:]:

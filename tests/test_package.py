@@ -1,5 +1,6 @@
-"""The package's public names: every name a module exports resolves, and
-the sources import nothing beyond the standard library and numpy."""
+"""The package's public names: every name a module exports resolves and is
+used by the package or what runs it, and the sources import nothing beyond
+the standard library and numpy."""
 
 import ast
 import importlib
@@ -23,7 +24,66 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
 
+
+def _names_used(path: Path) -> set[str]:
+    # every Name, attribute and imported name in a file's code, except a
+    # top-level definition's references to itself
+    used = set()
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names -= {t.id for t in targets if isinstance(t, ast.Name)}
+        used |= names
+    return used
+
+
+def _span_table_names() -> set[str]:
+    # the attribute names perfbench's span tracer looks up as strings
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    tables = [
+        stmt.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in ("FUNCTIONS", "METHODS") for t in stmt.targets)
+    ]
+    assert len(tables) == 2
+    return {
+        node.value
+        for table in tables
+        for node in ast.walk(table)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_every_exported_name_is_used_outside_its_definition():
+    # the package, the acceptance suite, the benchmark and the tools are
+    # what relgat runs for; a public name only unit tests reach is dead API.
+    # The package's __init__ only re-exports, so it does not count.
+    users = [p for p in SOURCES if p.name != "__init__.py"]
+    users += [ROOT / "tests" / "test_acceptance.py"]
+    users += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    used = _span_table_names().union(*map(_names_used, users))
+    unused = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in importlib.import_module(f"relgat.{module}").__all__
+        if name not in used
+    ]
+    assert unused == []
+
+
 SOURCES = sorted(Path(relgat.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imported_packages(path: Path):

@@ -1,5 +1,6 @@
-"""Priors, search-space serialization, and the resumable sweep runner."""
+"""Priors, search-space files, and the resumable sweep runner."""
 
+import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +35,6 @@ from relgat.search import (
     load_space,
     run_sweep,
     sample_config,
-    save_space,
     transductive_space,
     trial_seeds,
 )
@@ -86,13 +86,18 @@ def test_multiples_of_options():
         MultiplesOf(8, 4, 16)
 
 
+_KINDS = {Uniform: "uniform", LogUniform: "log_uniform", OneOf: "one_of", MultiplesOf: "multiples_of"}
+
+
 def test_space_round_trip(tmp_path):
-    space = transductive_space()
-    save_space(space, tmp_path / "space.json")
-    back = load_space(tmp_path / "space.json")
-    assert list(back) == list(space)
-    for name in space:
-        assert back[name].to_dict() == space[name].to_dict()
+    # the default spaces, written as JSON from their priors' fields, load
+    # back equal and in order
+    for space in (transductive_space(), inductive_space()):
+        doc = {name: {"kind": _KINDS[type(p)], **dataclasses.asdict(p)} for name, p in space.items()}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        back = load_space(path)
+        assert list(back) == list(space) and back == space
 
 
 def test_a_one_of_prior_whose_only_option_is_a_list_round_trips(tmp_path):
@@ -103,9 +108,6 @@ def test_a_one_of_prior_whose_only_option_is_a_list_round_trips(tmp_path):
     # one option, the pair, and never the values 1 and 2 on their own
     assert space["pair"].options == ((1, 2),)
     assert space["pair"].sample(RNG(0)) == (1, 2)
-    save_space(space, path)
-    assert json.loads(path.read_text()) == doc
-    assert load_space(path) == space
 
 
 def test_legacy_prior_kind_names_load(tmp_path):
@@ -265,6 +267,57 @@ def test_run_sweep_refuses_fold_arguments_that_would_do_nothing(tmp_path, kind, 
     path = tmp_path / "sub" / "folds.jsonl"
     with pytest.raises(ValueError, match=message):
         run_sweep(task, _TINY_SPACE, 1, 3, path, folds=folds, fold_limit=fold_limit)
+    assert not path.parent.exists()
+
+
+_READ_BY_BOTH = {
+    "heads": OneOf(1),
+    "use_bias": OneOf(True),
+    "feature_dropout": Uniform(0.0, 0.1),
+    "edge_dropout": Uniform(0.0, 0.1),
+    "learning_rate": LogUniform(1e-3, 1e-1),
+    "l2": OneOf(1e-4),
+    "l2_layer2_a": OneOf(1e-3),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,names",
+    [
+        ("node", {"hidden_units": OneOf(4), "basis_w": OneOf(None), "basis_a": OneOf(1)}),
+        ("graph", {"graph_units": OneOf(4), "dense_units": OneOf(4), "batch_size": OneOf(2)}),
+    ],
+)
+def test_run_sweep_takes_every_name_a_trial_reads(tmp_path, kind, names):
+    task = _self_relation_node_task() if kind == "node" else _tiny_task(10)
+    space = {**_READ_BY_BOTH, **names}
+    (record,) = run_sweep(task, space, 1, 3, tmp_path / "r.jsonl", overrides={"epochs": 1, "patience": 1})
+    assert record["status"] == "ok" and sorted(record["config"]) == sorted(space)
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [
+        ("graph", "x"),
+        ("graph", "learning_rte"),
+        ("graph", "logit_mode"),
+        ("node", "norm_kind"),
+        ("node", "embed_dim"),
+        ("graph", "hidden_units"),
+        ("node", "graph_units"),
+        ("node", "dense_units"),
+        ("node", "batch_size"),
+        ("graph", "basis_w"),
+        ("graph", "basis_a"),
+    ],
+)
+def test_run_sweep_refuses_a_space_name_no_trial_reads(tmp_path, kind, name):
+    # the variant sets logit_mode and norm_kind, a trial never sets
+    # embed_dim, and node tasks train full-batch
+    task = _self_relation_node_task() if kind == "node" else _tiny_task(10)
+    path = tmp_path / "sub" / "r.jsonl"
+    with pytest.raises(ValueError, match=f"no trial of a {kind} task reads the space names '{name}'$"):
+        run_sweep(task, {**_READ_BY_BOTH, name: OneOf(4)}, 1, 3, path)
     assert not path.parent.exists()
 
 

@@ -18,7 +18,6 @@ from relgat.tensor import (
     Tape,
     add,
     block_matmul,
-    concat_cols,
     concat_rows,
     edge_attention,
     edge_messages,
@@ -172,8 +171,6 @@ def test_slice_reshape_concat_roundtrips():
     flat = reshape(m, (12,))
     again = reshape(flat, (3, 4))
     assert np.array_equal(again.data, m.data)
-    left = concat_cols([slice_rows(reshape(m, (3, 4)), 0, 3)])
-    assert np.array_equal(left.data, m.data)
     grads = tape.backward(sum_all(back))
     assert np.array_equal(grads[m], np.ones((3, 4)))
 
@@ -217,29 +214,30 @@ def test_segment_reduce_sum_mean_empty_segments():
     tape = Tape()
     v = tape.leaf([[1.0], [2.0], [10.0]])
     segs = [0, 0, 2]
-    total = segment_reduce(v, segs, 4, "sum")
+    total = segment_reduce(v, segs, 4)
     assert np.array_equal(total.data, [[3.0], [0.0], [10.0], [0.0]])
-    mean = segment_reduce(v, segs, 4, "mean")
-    assert np.array_equal(mean.data, [[1.5], [0.0], [10.0], [0.0]])
-    grads = tape.backward(sum_all(mean))
+    pooled = segment_mean_max(v, segs, 4)
+    assert np.array_equal(pooled.data[:, :1], [[1.5], [0.0], [10.0], [0.0]])
+    grads = tape.backward(sum_all(mul(pooled, np.array([[1.0, 0.0]] * 4))))
     assert np.array_equal(grads[v], [[0.5], [0.5], [1.0]])
 
 
 def test_segment_reduce_max_routes_gradient_to_first_winner():
+    # segment_mean_max's max half
     tape = Tape()
     v = tape.leaf([[1.0], [5.0], [5.0], [2.0]])
-    out = segment_reduce(v, [0, 0, 0, 1], 2, "max")
-    assert np.array_equal(out.data, [[5.0], [2.0]])
-    grads = tape.backward(sum_all(out))
+    out = segment_mean_max(v, [0, 0, 0, 1], 2)
+    assert np.array_equal(out.data[:, 1:], [[5.0], [2.0]])
+    grads = tape.backward(sum_all(mul(out, np.array([[0.0, 1.0]] * 2))))
     # ties break to the earliest row
     assert np.array_equal(grads[v], [[0.0], [1.0], [0.0], [1.0]])
 
 
 def test_segment_reduce_max_empty_segment_is_zero():
-    tape = Tape()
-    v = tape.leaf([[3.0]])
-    out = segment_reduce(v, [1], 3, "max")
-    assert np.array_equal(out.data, [[0.0], [3.0], [0.0]])
+    # segment_mean_max's max half
+    v = Tape().leaf([[3.0]])
+    out = segment_mean_max(v, [1], 3)
+    assert np.array_equal(out.data[:, 1:], [[0.0], [3.0], [0.0]])
 
 
 def test_segment_softmax_frozen():
@@ -288,8 +286,8 @@ def test_segment_sum_is_permutation_invariant_bitwise(data):
     )
     segs = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
     perm = np.array(data.draw(st.permutations(range(n))))
-    a = segment_reduce(Tape().leaf(values[:, None]), segs, 5, "sum").data
-    b = segment_reduce(Tape().leaf(values[perm][:, None]), segs[perm], 5, "sum").data
+    a = segment_reduce(Tape().leaf(values[:, None]), segs, 5).data
+    b = segment_reduce(Tape().leaf(values[perm][:, None]), segs[perm], 5).data
     assert np.array_equal(a, b)
 
 
@@ -347,12 +345,13 @@ def test_segment_sum_and_mean_matrix_match_reference_and_ignore_row_order(data):
     # summation order may differ from the reference, so compare relative to
     # the segment's sum of magnitudes
     scale = 1e-12 * _reference_segment_sum(np.abs(values), segs, 7)
-    for mode, expected, tol in (
-        ("sum", reference, scale),
-        ("mean", reference / divisor, scale / divisor),
+    cols = values.shape[1]
+    for op, expected, tol in (
+        (lambda v, s: segment_reduce(v, s, 7).data, reference, scale),
+        (lambda v, s: segment_mean_max(v, s, 7).data[:, :cols], reference / divisor, scale / divisor),
     ):
-        a = segment_reduce(Tape().leaf(values), segs, 7, mode).data
-        b = segment_reduce(Tape().leaf(values[perm]), segs[perm], 7, mode).data
+        a = op(Tape().leaf(values), segs)
+        b = op(Tape().leaf(values[perm]), segs[perm])
         assert np.array_equal(a, b)
         assert np.all(np.abs(a - expected) <= tol)
         assert not a[0].any() and not a[6].any()
@@ -363,17 +362,19 @@ def test_segment_sum_and_mean_matrix_match_reference_and_ignore_row_order(data):
 def test_segment_max_matrix_winners_and_gap_match_reference(data):
     values, segs, _ = _segment_case(data)
     winner, gap = _reference_segment_max(values, segs, 7)
+    cols = values.shape[1]
     tape = Tape()
     v = tape.leaf(values)
-    out = segment_reduce(v, segs, 7, "max")
-    grads = tape.backward(sum_all(out))
+    # segment_mean_max's max half
+    out = segment_mean_max(v, segs, 7)
+    grads = tape.backward(sum_all(mul(out, np.broadcast_to(np.repeat([0.0, 1.0], cols), (7, 2 * cols)))))
     expected_grad = np.zeros_like(values)
     seg_idx, col_idx = np.nonzero(winner >= 0)
     expected_grad[winner[seg_idx, col_idx], col_idx] = 1.0
     assert np.array_equal(grads[v], expected_grad)
-    expected_out = np.zeros((7, values.shape[1]))
+    expected_out = np.zeros((7, cols))
     expected_out[seg_idx, col_idx] = values[winner[seg_idx, col_idx], col_idx]
-    assert np.array_equal(out.data, expected_out)
+    assert np.array_equal(out.data[:, cols:], expected_out)
     assert tape.min_kink_gap() == gap
 
 
@@ -381,24 +382,31 @@ def test_segment_max_matrix_winners_and_gap_match_reference(data):
 @given(st.data())
 def test_segment_mean_max_equals_mean_and_max_ops_bitwise(data):
     values, segs, _ = _segment_case(data)
-    weights = np.random.default_rng(len(segs)).normal(size=(7, 2 * values.shape[1]))
+    cols = values.shape[1]
+    weights = np.random.default_rng(len(segs)).normal(size=(7, 2 * cols))
+    tape = Tape()
+    v = tape.leaf(values)
+    out = segment_mean_max(v, segs, 7)
+    grads = tape.backward(sum_all(mul(out, weights)))
 
-    def run(pool):
-        tape = Tape()
-        v = tape.leaf(values)
-        out = pool(v)
-        grads = tape.backward(sum_all(mul(out, weights)))
-        return out.data, grads[v], tape.min_kink_gap()
-
-    fused = run(lambda v: segment_mean_max(v, segs, 7))
-    separate = run(
-        lambda v: concat_cols([segment_reduce(v, segs, 7, "mean"), segment_reduce(v, segs, 7, "max")])
-    )
-    assert fused[0].tobytes() == separate[0].tobytes()
-    assert fused[1].tobytes() == separate[1].tobytes()
-    assert fused[2] == separate[2]
+    # the mean is the sum op's sums over the row counts; the max is the
+    # first winner's value, a zero max being +0.0 when its segment holds
+    # one, and the winner takes the max half's gradient, added first
+    divisor = np.maximum(np.bincount(segs, minlength=7), 1)[:, None]
+    mean = segment_reduce(Tape().leaf(values), segs, 7).data / divisor
+    winner, gap = _reference_segment_max(values, segs, 7)
+    top, max_grad = np.zeros((7, cols)), np.zeros_like(values)
+    for seg, col in zip(*np.nonzero(winner >= 0)):
+        run = values[segs == seg, col]
+        top[seg, col] = values[winner[seg, col], col]
+        if top[seg, col] == 0:
+            top[seg, col] = 0.0 if np.any((run == 0) & ~np.signbit(run)) else -0.0
+        max_grad[winner[seg, col], col] = weights[seg, cols + col]
+    assert out.data.tobytes() == np.concatenate([mean, top], axis=1).tobytes()
+    assert grads[v].tobytes() == (max_grad + weights[segs, :cols] / divisor[segs]).tobytes()
+    assert tape.min_kink_gap() == gap
     # segments 0 and 6 are empty
-    assert not fused[0][[0, 6]].any()
+    assert not out.data[[0, 6]].any()
 
 
 def test_segment_mean_max_routes_max_gradient_to_first_winner():
@@ -550,9 +558,9 @@ def test_one_rule_dispatches_every_segment_sum_and_max(monkeypatch):
 
     def path_of(segments, values, n):
         taken = []
-        for mode in ("sum", "max"):
+        for op in (segment_reduce, segment_mean_max):
             paths.clear()
-            segment_reduce(Tape(differentiable=False).leaf(values), segments, n, mode)
+            op(Tape(differentiable=False).leaf(values), segments, n)
             taken += paths
         return taken
 
@@ -613,12 +621,11 @@ def test_planned_segment_ops_equal_raw_id_ops_bytewise(sizes, cols, kind, by_run
     if by_runs:
         plan.runs()
     out_weights = rng.normal(size=(n, cols))
-    for mode in ("sum", "mean", "max"):
-        planned, raw = (
-            _segment_op_bytes(lambda v: segment_reduce(v, ids, n, mode), values, out_weights)
-            for ids in (plan, segments)
-        )
-        assert planned == raw, mode
+    planned, raw = (
+        _segment_op_bytes(lambda v: segment_reduce(v, ids, n), values, out_weights)
+        for ids in (plan, segments)
+    )
+    assert planned == raw
     # mean, max, kink gap and first winners (through the gradient)
     weights = rng.normal(size=(n, 2 * cols))
     planned, raw = (
@@ -707,26 +714,20 @@ def test_segment_max_sign_of_zero_ignores_row_order(data):
     segs = np.array(data.draw(st.lists(st.integers(0, 4), min_size=rows, max_size=rows)))
     perm = np.array(data.draw(st.permutations(range(rows))))
 
-    def pooled(differentiable, v, s):
-        tape = Tape(differentiable=differentiable)
-        leaf = tape.leaf(v)
-        return segment_reduce(leaf, s, 5, "max").data, segment_mean_max(leaf, s, 5).data
-
     expected = None
     for differentiable in (True, False):
         for v, s in ((values, segs), (values[perm], segs[perm])):
-            got = pooled(differentiable, v, s)
+            got = segment_mean_max(Tape(differentiable=differentiable).leaf(v), s, 5).data
             if expected is None:
                 expected = got
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
-    top = expected[0]
+            assert got.tobytes() == expected.tobytes()
+    top = expected[:, cols:]
     for seg in range(5):
         for col in range(cols):
             run = values[segs == seg, col]
             if run.size and top[seg, col] == 0:
                 holds_plus_zero = np.any((run == 0) & ~np.signbit(run))
                 assert np.signbit(top[seg, col]) == (not holds_plus_zero)
-    assert expected[1][:, cols:].tobytes() == top.tobytes()
 
 
 def test_row_softmax_rows_sum_to_one():
@@ -887,11 +888,7 @@ def test_backward_frees_each_op_gradient_once_used():
 
 _SEGMENT_IDS = [0, 2, 2, 0, 2]
 _SEGMENT_OPS = {
-    **{
-        f"reduce-{mode}-{form}": (lambda v, mode=mode: segment_reduce(v, _SEGMENT_IDS, 3, mode), form)
-        for mode in ("sum", "mean", "max")
-        for form in ("flat", "matrix")
-    },
+    "reduce-sum-matrix": (lambda v: segment_reduce(v, _SEGMENT_IDS, 3), "matrix"),
     "mean-max": (lambda v: segment_mean_max(v, _SEGMENT_IDS, 3), "matrix"),
     "softmax": (lambda v: segment_softmax(v, _SEGMENT_IDS), "flat"),
 }
@@ -936,9 +933,8 @@ def test_segment_softmax_rejects_negative_or_misaligned_ids():
 # (x shape, w shape, blocks, shared)
 _BLOCK_FORMS = {
     "shared-input": ((4, 3), (9, 2), 3, "x"),
-    "blocked": ((12, 2), (6, 2), 3, None),
     "shared-kernel": ((6, 2), (2, 5), 3, "w"),
-    "one-block": ((4, 3), (3, 2), 1, None),
+    "one-block": ((4, 3), (3, 2), 1, "x"),
 }
 
 
@@ -1073,11 +1069,15 @@ def test_block_matmul_rejects_mismatched_shapes():
     tape = Tape()
     x = tape.leaf(np.ones((6, 2)))
     with pytest.raises(ValueError, match="mismatch"):
-        block_matmul(x, tape.leaf(np.ones((4, 2))), 3)  # 4 kernel rows do not split in 3
+        block_matmul(x, tape.leaf(np.ones((4, 2))), 3, shared="x")  # 4 kernel rows do not split in 3
     with pytest.raises(ValueError, match="mismatch"):
-        block_matmul(x, tape.leaf(np.ones((9, 2))), 3)  # 3-row kernels for 2-wide blocks
+        block_matmul(x, tape.leaf(np.ones((9, 2))), 3, shared="x")  # 3-row kernels for a 2-wide x
     with pytest.raises(ValueError, match="mismatch"):
         block_matmul(x, tape.leaf(np.ones((3, 2))), 3, shared="w")
+    with pytest.raises(ValueError, match="mismatch"):
+        block_matmul(tape.leaf(np.ones((7, 2))), tape.leaf(np.ones((2, 2))), 3, shared="w")  # 7 rows
+    with pytest.raises(ValueError, match="shared must be 'x' or 'w'"):
+        block_matmul(x, tape.leaf(np.ones((6, 2))), 3, shared=None)  # both operands blocked
 
 
 def test_sum_blocks_adds_left_to_right_and_tiles_the_gradient():
@@ -1146,7 +1146,7 @@ def _edge_forward(fused, mode, learned, heads, plan, g0, a0, weights, alpha_weig
         out = edge_messages(g, alpha, src_rows, plan.targets, plan.num_nodes, heads)
     else:
         messages = reshape(scale_rows(gather_rows(g, src_rows), alpha), (edges, heads * cols))
-        out = segment_reduce(messages, plan.targets, plan.num_nodes, "sum")
+        out = segment_reduce(messages, plan.targets, plan.num_nodes)
     loss = sum_all(mul(out, weights))
     if learned:
         loss = add(loss, sum_all(mul(alpha, alpha_weights)))
