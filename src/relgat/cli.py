@@ -24,9 +24,9 @@ from .graph import (
     LabelSet,
     NodeTask,
     Split,
+    _collection_payload,
     generate_planted,
     parse_dataset,
-    serialize_dataset,
 )
 from .models import (
     GraphClassifier,
@@ -85,8 +85,8 @@ def _cmd_gen(args) -> int:
         graph_classes=np.array([[y] for _, y in pairs], dtype=np.int64),
     )
     split = _split_indices(len(pairs), args.seed, args.train_frac, args.val_frac)
-    task = GraphTask(graphs, labels, split)
-    doc = json.loads(serialize_dataset(task))
+    # the document serialize_dataset would write, encoded once with its provenance
+    doc = _collection_payload(GraphTask(graphs, labels, split))
     doc["provenance"] = {
         "tool_version": __version__,
         "seed": args.seed,

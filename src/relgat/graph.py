@@ -311,8 +311,27 @@ class GraphTask:
             batch = batches[split] = batch_graphs([self.graphs[i] for i in self.split.part(split)])
         return batch
 
+    def class_weights(self, num_classes: int) -> np.ndarray:
+        """The labels' class weights, or else the train split's inverse class
+        frequencies for num_classes classes, read-only and kept with the task
+        as its batches are; a task without a labelled train graph has none
+        to invert and weighs every class 1, so that its loss elsewhere stays
+        the plain mean -log p."""
+        if self.labels.class_weights is not None:
+            return np.asarray(self.labels.class_weights, dtype=np.float64)
+        kept = self.__dict__.setdefault("_weights", {})
+        weights = kept.get(num_classes)
+        if weights is None:
+            from .models import inverse_frequency_weights  # models imports this module
+
+            train_labels = self.labels.graph_classes[np.asarray(self.split.train, dtype=np.int64)]
+            weights = inverse_frequency_weights(train_labels, num_classes)
+            weights[~(train_labels >= 0).any(axis=0)] = 1.0
+            kept[num_classes] = weights = _frozen(weights)
+        return weights
+
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_batches"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_batches", "_weights")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,15 +556,19 @@ def parse_dataset(document) -> NodeTask | GraphTask:
     return GraphTask((graph,), labels, split)
 
 
-def serialize_dataset(task: NodeTask | GraphTask) -> str:
-    if isinstance(task, NodeTask):
-        return serialize_graph(task.graph, task.labels, task.split)
-    doc = {
+def _collection_payload(task: GraphTask) -> dict:
+    """A graph task's {"graphs": [...]} document, as serialize_dataset encodes it."""
+    return {
         "graphs": [_graph_payload(g) for g in task.graphs],
         "labels": _labels_payload(task.labels),
         "splits": _split_payload(task.split),
     }
-    return json.dumps(doc, separators=(",", ":"))
+
+
+def serialize_dataset(task: NodeTask | GraphTask) -> str:
+    if isinstance(task, NodeTask):
+        return serialize_graph(task.graph, task.labels, task.split)
+    return json.dumps(_collection_payload(task), separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -654,15 +677,23 @@ def generate_planted(
     labels[: n_graphs // 2] = 1
     labels = rng.permutation(labels)
 
+    bounds = np.array([num_relations - 2, nodes_per_graph, nodes_per_graph])
     out: list[tuple[RelGraph, int]] = []
     for gi in range(n_graphs):
         label = int(labels[gi])
         signal_relation = 0 if label == 1 else 1
         triples = {(signal_relation, READOUT_NODE, MARKER_NODE)}
-        while len(triples) <= noise_edges:
-            # a repeated draw is dropped; the edges' order is canonicalized
-            r = 2 + int(rng.integers(num_relations - 2))
-            triples.add((r, int(rng.integers(nodes_per_graph)), int(rng.integers(nodes_per_graph))))
+        while (need := noise_edges + 1 - len(triples)) > 0:
+            # one call per round draws the missing edges' (r, t, s) in the
+            # order, and from the stream, that one draw per scalar would: a
+            # bounded value below 2**32 is drawn from 32-bit draws the same
+            # way alone or from an array of bounds (a bound of 1 draws
+            # nothing), and a round draws no more edges than are missing, so
+            # an edge-by-edge loop would not stop sooner. A repeated draw is
+            # dropped; the edges' order is canonicalized.
+            drawn = rng.integers(np.tile(bounds, need)).reshape(need, 3)
+            drawn[:, 0] += 2
+            triples.update(map(tuple, drawn.tolist()))
         features = rng.normal(size=(nodes_per_graph, feature_dim))
         features[MARKER_NODE, 0] += 2.0
         features[READOUT_NODE, 1] += 2.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -384,7 +385,12 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Writes manifest.json plus params.bin (little-endian float64,
-    declaration order)."""
+    declaration order); the manifest holds params.bin's sha256.
+
+    Both are written under temporary names and then renamed into place,
+    params.bin first. A crash part way leaves either the old pair or a new
+    params.bin that the old manifest's digest refuses, never a pair that
+    loads as a mix of two checkpoints."""
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -395,6 +401,7 @@ def save_checkpoint(
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size
         blobs.append(arr.tobytes())
+    blob = b"".join(blobs)
     manifest = {
         "format": 1,
         "dtype": "<f8",
@@ -402,11 +409,15 @@ def save_checkpoint(
         "config": config,
         "config_hash": config_hash(config),
         "parameters": entries,
+        "params_sha256": hashlib.sha256(blob).hexdigest(),
     }
     if extra:
         manifest.update(extra)
-    (path / "params.bin").write_bytes(b"".join(blobs))
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    files = {"params.bin": blob, "manifest.json": json.dumps(manifest, indent=2, sort_keys=True).encode()}
+    for name, data in files.items():
+        (path / f".{name}.tmp").write_bytes(data)
+    for name in files:
+        os.replace(path / f".{name}.tmp", path / name)
 
 
 def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
@@ -418,9 +429,13 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
         total, entries = manifest["total_values"], manifest["parameters"]
     except KeyError as exc:
         raise GraphFormatError(f"checkpoint manifest lacks {exc.args[0]!r}") from None
-    raw = np.frombuffer((path / "params.bin").read_bytes(), dtype="<f8")
+    blob = (path / "params.bin").read_bytes()
+    raw = np.frombuffer(blob, dtype="<f8")
     if raw.size != total:
         raise ValueError(f"checkpoint holds {raw.size} values, manifest declares {total}")
+    # a manifest written before digests were kept has none to check
+    if "params_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
+        raise GraphFormatError("checkpoint params.bin does not match the sha256 in its manifest")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise GraphFormatError("checkpoint parameters must be a list of entries")
     params = {}

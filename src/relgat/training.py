@@ -18,7 +18,6 @@ from .graph import GraphTask, NodeTask, batch_graphs
 from .models import (
     GraphClassifier,
     NodeClassifier,
-    inverse_frequency_weights,
     masked_cross_entropy,
     weighted_cross_entropy,
 )
@@ -257,7 +256,7 @@ class _GraphFit:
             raise TypeError("graph model needs a graph task")
         self.model = model
         self.task = task
-        self.weights = _resolve_weights(model, task)
+        self.weights = task.class_weights(model.config.num_classes)
 
     def part(self, split: str):
         # the batch is kept with the task; labels are gathered afresh, since
@@ -328,18 +327,6 @@ def _fit(model, task):
     if isinstance(model, GraphClassifier):
         return _GraphFit(model, task)
     raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def _resolve_weights(model: GraphClassifier, task: GraphTask) -> np.ndarray:
-    """The task's class weights, or inverse train-split frequencies; a task
-    without a labelled train graph has none to invert and weighs every
-    class 1, so that its loss elsewhere stays the plain mean -log p."""
-    if task.labels.class_weights is not None:
-        return np.asarray(task.labels.class_weights, dtype=np.float64)
-    train_labels = task.labels.graph_classes[np.asarray(task.split.train, dtype=np.int64)]
-    weights = inverse_frequency_weights(train_labels, model.config.num_classes)
-    weights[~(train_labels >= 0).any(axis=0)] = 1.0
-    return weights
 
 
 def _step(fit, params, state: AdamState, part, rng, config: TrainConfig) -> float:

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relgat.cli import main
+import relgat
+from relgat.cli import _split_indices, main
+from relgat.graph import GraphTask, LabelSet, generate_planted, serialize_dataset
 from relgat.models import config_hash
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +64,33 @@ def test_gen_deterministic(tmp_path):
     a = _gen(tmp_path, "a.json")
     b = _gen(tmp_path, "b.json")
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("flags", [[], ["--relations", "3", "--noise-edges", "0"]], ids=["defaults", "no-noise"])
+def test_gen_writes_the_dataset_document_plus_its_provenance(tmp_path, flags):
+    out = tmp_path / "data.json"
+    assert main(["gen", "--seed", "5", "--graphs", "12", *flags, "--out", str(out)]) == 0
+    relations, noise = (3, 0) if flags else (4, 40)
+    pairs = generate_planted(5, 12, 20, relations, feature_dim=8, noise_edges=noise)
+    labels = LabelSet("graph", 2, 1, graph_classes=np.array([[y] for _, y in pairs]))
+    task = GraphTask(tuple(g for g, _ in pairs), labels, _split_indices(12, 5, 0.6, 0.2))
+    provenance = {
+        "tool_version": relgat.__version__,
+        "seed": 5,
+        "config_hash": config_hash(
+            {
+                "graphs": 12,
+                "nodes": 20,
+                "relations": relations,
+                "feature_dim": 8,
+                "noise_edges": noise,
+                "train_frac": 0.6,
+                "val_frac": 0.2,
+            }
+        ),
+    }
+    block = json.dumps(provenance, separators=(",", ":"))
+    assert out.read_text() == serialize_dataset(task)[:-1] + ',"provenance":' + block + "}"
 
 
 @pytest.mark.parametrize(
@@ -379,6 +408,18 @@ def test_eval_rejects_checkpoint_whose_config_does_not_match_its_hash(tmp_path, 
 
     manifest_path.write_text(original)
     assert main(args) == 0
+
+
+def test_eval_refuses_a_params_bin_its_manifest_does_not_digest(tmp_path, capsys):
+    data = _gen(tmp_path)
+    out = _train(tmp_path, data, "run")
+    blob = bytearray((out / "params.bin").read_bytes())
+    blob[-1] ^= 0x01
+    (out / "params.bin").write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not match the sha256" in err
 
 
 def _drop_config(manifest):

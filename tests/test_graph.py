@@ -523,6 +523,44 @@ def test_generate_planted_deterministic():
         assert serialize_graph(ga) == serialize_graph(gb)
 
 
+def _planted_one_edge_at_a_time(seed, n_graphs, nodes, relations, feature_dim, noise_edges):
+    # the generator's reference: three scalar draws per noise edge, one edge
+    # at a time, until the graph holds noise_edges + 1 distinct edges
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n_graphs, dtype=np.int64)
+    labels[: n_graphs // 2] = 1
+    labels = rng.permutation(labels)
+    out = []
+    for label in labels.tolist():
+        triples = {(0 if label == 1 else 1, READOUT_NODE, MARKER_NODE)}
+        while len(triples) <= noise_edges:
+            r = 2 + int(rng.integers(relations - 2))
+            triples.add((r, int(rng.integers(nodes)), int(rng.integers(nodes))))
+        features = rng.normal(size=(nodes, feature_dim))
+        features[MARKER_NODE, 0] += 2.0
+        features[READOUT_NODE, 1] += 2.0
+        out.append((build_graph(nodes, relations, triples, features), label))
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param((5, 8, 6, 3, 3, 10), id="three-relations"),
+        pytest.param((6, 5, 5, 4, 2, 0), id="no-noise"),
+        pytest.param((7, 12, 6, 3, 2, 18), id="half-capacity"),
+        pytest.param((1, 100, 20, 4, 4, 60), id="planted-graph"),
+        pytest.param((2, 60, 16, 4, 4, 40), id="sweep-p2"),
+    ],
+)
+def test_generate_planted_draws_what_one_edge_at_a_time_would(shape):
+    # the batched draws must read the generator's stream exactly as the
+    # scalar loop does; a numpy release that changes it fails here first
+    got, want = generate_planted(*shape), _planted_one_edge_at_a_time(*shape)
+    assert [y for _, y in got] == [y for _, y in want]
+    assert [serialize_graph(g) for g, _ in got] == [serialize_graph(g) for g, _ in want]
+
+
 def test_generate_planted_guards():
     with pytest.raises(ValueError, match="degenerate"):
         generate_planted(0, 4, 1, 4, feature_dim=2, noise_edges=0)
@@ -652,6 +690,28 @@ def test_a_kept_batch_changes_no_observable_of_the_task():
     for other in (replace(task), pickle.loads(pickle.dumps(task)), copy.copy(task), copy.deepcopy(task)):
         assert "_batches" not in vars(other)
         assert other == task
+
+
+def test_kept_class_weights_change_no_observable_of_the_task():
+    task, twin = _small_task(), _small_task()
+    before = (repr(task), serialize_dataset(task), pickle.dumps(task))
+    two, three = task.class_weights(2), task.class_weights(3)
+    assert task.class_weights(2) is two and task.class_weights(3) is three
+    assert two.shape == (1, 2) and three.shape == (1, 3)
+    assert not two.flags.writeable and not three.flags.writeable
+    assert (repr(task), serialize_dataset(task), pickle.dumps(task)) == before
+    assert task == twin
+    for other in (replace(task), pickle.loads(pickle.dumps(task)), copy.copy(task), copy.deepcopy(task)):
+        assert "_weights" not in vars(other)
+        assert other.class_weights(2).tobytes() == two.tobytes()
+
+
+def test_a_tasks_own_class_weights_are_used_as_given():
+    task = _small_task()
+    weights = np.array([[0.25, 4.0]])
+    weighted = GraphTask(task.graphs, replace(task.labels, class_weights=weights), task.split)
+    assert np.array_equal(weighted.class_weights(2), weights)
+    assert "_weights" not in vars(weighted)
 
 
 def test_batching_an_empty_or_unknown_split_raises_and_keeps_nothing():

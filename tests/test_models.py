@@ -1,11 +1,14 @@
 """Classifier architectures, losses, pooling, and checkpoint round trips."""
 
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relgat.graph import batch_graphs, build_graph
+from relgat.graph import GraphFormatError, batch_graphs, build_graph
 from relgat.models import (
     GraphClassifier,
     GraphClassifierConfig,
@@ -359,6 +362,69 @@ def test_checkpoint_offsets_follow_declaration_order(tmp_path):
     assert [e["name"] for e in entries] == ["b", "a"]
     assert entries[0]["offset"] == 0
     assert entries[1]["offset"] == 6
+
+
+def _node_params(seed):
+    model = NodeClassifier(
+        RNG(seed), NodeClassifierConfig(in_dim=3, num_relations=2, num_classes=2, hidden_units=4)
+    )
+    return model.params
+
+
+def test_a_crash_between_the_renames_leaves_no_pair_that_loads(tmp_path, monkeypatch):
+    old, new = _node_params(1), _node_params(2)  # same shapes, other values
+    save_checkpoint(tmp_path, old, {"task": "node"})
+    old_manifest = (tmp_path / "manifest.json").read_text()
+    real, renamed = os.replace, []
+
+    def crash_after(limit):
+        def replace(src, dst):
+            if len(renamed) == limit:
+                raise KeyboardInterrupt
+            renamed.append(Path(dst).name)
+            real(src, dst)
+
+        return replace
+
+    # before any rename the old pair is whole
+    monkeypatch.setattr(os, "replace", crash_after(0))
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(tmp_path, new, {"task": "node"})
+    params, _ = load_checkpoint(tmp_path)
+    assert all(np.array_equal(params[k], old[k]) for k in old)
+    # after the first, params.bin is new and the old manifest's digest refuses it
+    monkeypatch.setattr(os, "replace", crash_after(1))
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(tmp_path, new, {"task": "node"})
+    assert renamed == ["params.bin"]
+    assert (tmp_path / "manifest.json").read_text() == old_manifest
+    with pytest.raises(GraphFormatError, match="does not match the sha256"):
+        load_checkpoint(tmp_path)
+    monkeypatch.setattr(os, "replace", real)
+    save_checkpoint(tmp_path, new, {"task": "node"})
+    params, _ = load_checkpoint(tmp_path)
+    assert all(np.array_equal(params[k], new[k]) for k in new)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "params.bin"]
+
+
+def test_a_flipped_byte_in_params_bin_is_refused(tmp_path):
+    save_checkpoint(tmp_path, _node_params(3), {"task": "node"})
+    blob = bytearray((tmp_path / "params.bin").read_bytes())
+    blob[5] ^= 0x01
+    (tmp_path / "params.bin").write_bytes(bytes(blob))
+    with pytest.raises(GraphFormatError, match="does not match the sha256"):
+        load_checkpoint(tmp_path)
+
+
+def test_a_manifest_without_a_digest_still_loads(tmp_path):
+    params = _node_params(4)
+    save_checkpoint(tmp_path, params, {"task": "node"})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    digest = manifest.pop("params_sha256")
+    assert digest == hashlib.sha256((tmp_path / "params.bin").read_bytes()).hexdigest()
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    loaded, _ = load_checkpoint(tmp_path)
+    assert all(np.array_equal(loaded[k], params[k]) for k in params)
 
 
 def test_config_hash_key_order_independent():

@@ -14,6 +14,7 @@ import pytest
 from test_cli import _src_env
 
 import relgat.graph
+import relgat.models
 from relgat import training
 from relgat.graph import (
     GraphTask,
@@ -559,6 +560,26 @@ def test_train_keeps_its_scored_batches_for_later_calls(monkeypatch):
     assert calls == ["training", "training"]
     assert task.batch("train") is kept[0] and task.batch("validation") is kept[1]
     assert repr(again) == repr(first)
+
+
+def test_repeated_evaluates_weigh_the_classes_once(monkeypatch):
+    model, task = _graph_task()
+    calls = []
+    real = relgat.models.inverse_frequency_weights
+
+    def counted(labels, num_classes):
+        calls.append(num_classes)
+        return real(labels, num_classes)
+
+    monkeypatch.setattr(relgat.models, "inverse_frequency_weights", counted)
+    scored = [(split, c) for split in ("train", "validation", "test") for c in (False, True)]
+    first = [evaluate(model, task, split, constant=c) for split, c in scored]
+    again = [evaluate(model, task, split, constant=c) for split, c in scored]
+    assert calls == [2]
+    assert repr(again) == repr(first)
+    kept = task.class_weights(2)
+    assert not kept.flags.writeable
+    assert kept.tobytes() == real(task.labels.graph_classes[list(task.split.train)], 2).tobytes()
 
 
 def test_evaluating_an_empty_split_raises():

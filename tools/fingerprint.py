@@ -26,6 +26,11 @@ digits) of
   3 epochs per trial, on the benchmark's pool of PARALLELISM workers,
   which fork after the fits above and so inherit the batches they kept.
 
+After the workloads, one gen line per seed hashes the file `relgat gen
+--seed SEED` writes with its default flags, and with --relations 3
+--noise-edges 0: the corpus, its split, its feature width and its
+provenance.
+
 --grid adds one line per logit mode, normalization kind and head count
 (1 to 3) of a graph model trained with feature and edge dropout and L2 on
 the planted-graph task, hashing its histories, parameters and evaluations
@@ -46,8 +51,10 @@ import os
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import difflib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
 import subprocess  # noqa: E402
@@ -61,6 +68,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import relgat  # noqa: E402
+import relgat.cli  # noqa: E402
 from relgat.search import _train_config  # noqa: E402
 from workloads import MASTER_SEED, PARALLELISM, WORKLOADS, build_model  # noqa: E402
 
@@ -135,6 +143,21 @@ def workload_hashes(name: str, seed: int) -> dict:
             overrides={"epochs": EPOCHS, "patience": EPOCHS},
         )
     out["sweep"] = _hash(records)
+    return out
+
+
+GEN_FLAGS = {"defaults": [], "relations3-noise0": ["--relations", "3", "--noise-edges", "0"]}
+
+
+def gen_hashes(seed: int) -> dict:
+    out = {"gen": "relgat gen", "seed": seed}
+    with tempfile.TemporaryDirectory() as d:
+        for key, flags in GEN_FLAGS.items():
+            path = Path(d) / f"{key}.json"
+            # gen prints what it wrote; these lines are the script's output
+            with contextlib.redirect_stdout(io.StringIO()):
+                relgat.cli.main(["gen", "--seed", str(seed), *flags, "--out", str(path)])
+            out[key] = _hash(path.read_bytes())
     return out
 
 
@@ -213,6 +236,7 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         for name in sorted(WORKLOADS):
             print(json.dumps(workload_hashes(name, seed), sort_keys=True), flush=True)
+        print(json.dumps(gen_hashes(seed), sort_keys=True), flush=True)
         if args.grid:
             for line in grid_hashes(seed):
                 print(json.dumps(line, sort_keys=True), flush=True)
