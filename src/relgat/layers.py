@@ -212,9 +212,13 @@ class RgatLayer:
     """One relational attention layer: parameters plus the forward rule.
 
     Parameters live as plain float64 arrays in ``self.params`` (a dict whose
-    insertion order fixes the checkpoint layout). ``forward`` consumes leaf
-    tensors bound to some tape under the same names, or under the names of
-    ``self.stacks`` for the parameters bound stacked.
+    insertion order fixes the checkpoint layout), in the layout the forward
+    reads: each kernel kind's (relation, head) slots stacked row-wise
+    head-major, slot k*R + r in row block k*R + r (``{name}.w``, K*R*F x F';
+    ``{name}.a``, K*R*2F' x D), or with a basis its coefficients' rows in
+    the same slot order (``{name}.w_basis``, ``{name}.w_coeff``), and the
+    heads' biases joined in head order (``{name}.bias``, K*F'). ``forward``
+    consumes leaf tensors bound to some tape under the same names.
     """
 
     def __init__(
@@ -289,29 +293,22 @@ class RgatLayer:
         self.basis_a = basis["a"]
 
         self.params: dict[str, np.ndarray] = {}
+        # kernels are drawn slot by slot relation-major, as when each slot was
+        # its own parameter, so a seed keeps its values; head-major slot
+        # k*R + r keeps draw order[k*R + r] = r*K + k
+        order = (np.arange(heads)[:, None] + np.arange(num_relations) * heads).ravel()
         for kind in ("w", "a"):
             size, shape = self._kernel(kind)
             names = self._kernel_names(kind)
             if size is None:
-                for kernel_name in names:
-                    self.params[kernel_name] = glorot(rng, *shape)
+                kernels = [glorot(rng, *shape) for _ in range(limit)]
+                self.params[names[0]] = np.concatenate([kernels[s] for s in order])
             else:
                 rows = [glorot(rng, *shape).ravel() for _ in range(size)]
                 self.params[names[0]] = np.stack(rows)
-                self.params[names[1]] = glorot(rng, limit, size)
+                self.params[names[1]] = glorot(rng, limit, size)[order]
         if use_bias:
-            for k in range(heads):
-                self.params[f"{name}.bias.k{k}"] = np.zeros(per_head)
-        # what a model binds as one leaf, by the leaf's name: each per-slot
-        # kernel kind with its slots head-major (slot k*R + r, the row
-        # blocks of _stacked_kernels), and the per-head biases in head order
-        self.stacks = {
-            f"{name}.{kind}": [f"{name}.{kind}.r{r}k{k}" for k in range(heads) for r in range(num_relations)]
-            for kind in ("w", "a")
-            if basis[kind] is None
-        }
-        if use_bias:
-            self.stacks[f"{name}.bias"] = [f"{name}.bias.k{k}" for k in range(heads)]
+            self.params[f"{name}.bias"] = np.zeros(heads * per_head)
 
     def _kernel(self, kind: str) -> tuple[int | None, tuple[int, int]]:
         """Basis size and per-slot shape of the "w" or "a" kernels."""
@@ -320,14 +317,10 @@ class RgatLayer:
         return self.basis_a, (2 * self.per_head, self.attention_dim)
 
     def _kernel_names(self, kind: str) -> list[str]:
-        """Parameter names of one kernel kind: one per (relation, head)
-        slot, or the basis and its coefficients."""
+        """Parameter names of one kernel kind: the stacked kernels, or the
+        basis and its coefficients."""
         if self._kernel(kind)[0] is None:
-            return [
-                f"{self.name}.{kind}.r{r}k{k}"
-                for r in range(self.num_relations)
-                for k in range(self.heads)
-            ]
+            return [f"{self.name}.{kind}"]
         return [f"{self.name}.{kind}_basis", f"{self.name}.{kind}_coeff"]
 
     def w_parameter_names(self) -> list[str]:
@@ -336,25 +329,16 @@ class RgatLayer:
     def a_parameter_names(self) -> list[str]:
         return self._kernel_names("a")
 
-    def _stacked(self, leaves: dict[str, Tensor], key: str) -> Tensor:
-        """The leaf named key of self.stacks, or, where the caller bound
-        per slot, its parameters' leaves joined in the same row order."""
-        if key in leaves:
-            return leaves[key]
-        return concat_rows([leaves[name] for name in self.stacks[key]])
-
     def _stacked_kernels(self, leaves: dict[str, Tensor], kind: str) -> Tensor:
         """Every slot's kernel of one kind stacked row-wise head-major: slot
         k*R + r is row block k*R + r."""
-        heads, relations = self.heads, self.num_relations
         basis, shape = self._kernel(kind)
         if basis is None:
-            return self._stacked(leaves, f"{self.name}.{kind}")
-        # coefficient row r*K + k belongs to slot (r, k)
-        order = (np.arange(heads)[:, None] + np.arange(relations) * heads).ravel()
-        coeff = gather_rows(leaves[f"{self.name}.{kind}_coeff"], order)
-        flat = block_matmul(coeff, leaves[f"{self.name}.{kind}_basis"], len(order), shared="w")
-        return reshape(flat, (len(order) * shape[0], shape[1]))
+            return leaves[f"{self.name}.{kind}"]
+        slots = self.heads * self.num_relations
+        coeff, rows = leaves[f"{self.name}.{kind}_coeff"], leaves[f"{self.name}.{kind}_basis"]
+        flat = block_matmul(coeff, rows, slots, shared="w")
+        return reshape(flat, (slots * shape[0], shape[1]))
 
     def forward(
         self,
@@ -403,7 +387,7 @@ class RgatLayer:
             alpha = edge_attention(g, a, tgt_rows, src_rows, self.logit_mode, plan.supports)
         out = edge_messages(g, alpha, src_rows, plan.targets, num_nodes, heads)
         if self.use_bias:
-            out = add(out, self._stacked(leaves, f"{self.name}.bias"))
+            out = add(out, leaves[f"{self.name}.bias"])
         if self.head_agg == "mean":
             out = mul(sum_blocks(out, heads), 1.0 / heads)
         return _apply_activation(out, self.activation)

@@ -7,10 +7,10 @@ concatenating attention layers, pools each graph by mean and max, and maps
 the pooled vector through two dense layers to per-task class probabilities.
 
 Both expose parameters as an ordered name -> float64 array dict, which also
-fixes the checkpoint layout. A model binds them to a tape with ``bind``:
-each layer's per-slot kernels of one kind, and its per-head biases, as one
-stacked leaf. ``bind_params`` binds one leaf per parameter instead; both
-give the same forward, bit for bit.
+fixes the checkpoint layout. Each layer keeps every (relation, head) kernel
+of one kind, and its heads' biases, as one stacked array, in the layout its
+forward reads, so ``bind_params`` binds one leaf per parameter for training
+steps and scoring forwards alike.
 """
 
 from __future__ import annotations
@@ -198,23 +198,6 @@ class _TwoLayerModel:
         )
         self.params.update(self.layer1.params)
         self.params.update(self.layer2.params)
-        self.stacks = {**self.layer1.stacks, **self.layer2.stacks}
-
-    def bind(self, tape: Tape, params: dict[str, np.ndarray], *, constant: bool = False) -> dict[str, Tensor]:
-        """The leaves of a forward: every group of self.stacks as one leaf,
-        its parameters joined row-wise in the group's order, and every other
-        parameter as its own leaf. A constant forward reads no A kernel, so
-        none is bound."""
-        bound = set()
-        if constant:
-            bound.update(self.layer1.a_parameter_names(), self.layer2.a_parameter_names())
-        leaves = {}
-        for key, names in self.stacks.items():
-            if names[0] not in bound:
-                leaves[key] = tape.leaf(np.concatenate([params[name] for name in names]))
-            bound.update(names)
-        leaves.update((name, tape.leaf(value)) for name, value in params.items() if name not in bound)
-        return leaves
 
     def _encode(self, leaves, edges, num_nodes: int, h: Tensor, constant: bool, dropout) -> Tensor:
         # both layers and their backwards share one plan of the edges
@@ -372,6 +355,11 @@ class GraphClassifier(_TwoLayerModel):
 # checkpoints
 
 
+# what save_checkpoint writes and load_checkpoint accepts: 2 stores each
+# layer's kernels, basis coefficients and biases stacked
+CHECKPOINT_FORMAT = 2
+
+
 def config_hash(config: dict) -> str:
     """sha256 of the canonical JSON form of a config mapping."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -403,7 +391,7 @@ def save_checkpoint(
         blobs.append(arr.tobytes())
     blob = b"".join(blobs)
     manifest = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "dtype": "<f8",
         "total_values": offset,
         "config": config,
@@ -423,6 +411,12 @@ def save_checkpoint(
 def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(directory)
     manifest = json.loads((path / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise GraphFormatError("checkpoint manifest must be a JSON object")
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise GraphFormatError(
+            f"checkpoint has format {manifest.get('format')!r}; this relgat reads format {CHECKPOINT_FORMAT}"
+        )
     if manifest.get("dtype") != "<f8":
         raise ValueError(f"unsupported checkpoint dtype {manifest.get('dtype')!r}")
     try:
@@ -433,7 +427,7 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
     raw = np.frombuffer(blob, dtype="<f8")
     if raw.size != total:
         raise ValueError(f"checkpoint holds {raw.size} values, manifest declares {total}")
-    # a manifest written before digests were kept has none to check
+    # a manifest that declares no digest has none to check
     if "params_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
         raise GraphFormatError("checkpoint params.bin does not match the sha256 in its manifest")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):

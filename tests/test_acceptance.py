@@ -39,7 +39,7 @@ from relgat.models import (
 )
 from relgat.search import LogUniform, OneOf, inductive_space, transductive_space
 from relgat.stats import empirical_cdf, mann_whitney_u, midranks
-from relgat.tensor import Tape, grad_check, matmul, row_softmax, sum_squares
+from relgat.tensor import Tape, grad_check, matmul, row_softmax, slice_rows, sum_squares
 from relgat.training import (
     TrainConfig,
     drop_edges,
@@ -130,9 +130,10 @@ def test_zero_attention_kernels_reduce_to_uniform_propagation():
         leaves = bind_params(tape, layer.params)
         h = tape.leaf(g.features)
         out = layer.forward(leaves, g.edges, n, h)
-        kernels = [leaves[f"lyr.w.r{r}k0"] for r in range(relations)]
+        # one head: relation r's kernel is row block r of the stacked W
+        kernels = [slice_rows(leaves["lyr.w"], 4 * r, 4 * (r + 1)) for r in range(relations)]
         ref = rgcn_forward(
-            g.edges, n, h, kernels, activation="relu", bias=leaves["lyr.bias.k0"]
+            g.edges, n, h, kernels, activation="relu", bias=leaves["lyr.bias"]
         )
         assert np.max(np.abs(out.data - ref.data)) <= 1e-12
 
@@ -176,17 +177,17 @@ def test_constant_attention_evaluation_matches_uniform_propagation():
         g.edges,
         g.num_nodes,
         feats,
-        [leaves[f"layer1.w.r{r}k0"] for r in range(3)],
+        [slice_rows(leaves["layer1.w"], 3 * r, 3 * (r + 1)) for r in range(3)],
         activation="relu",
-        bias=leaves["layer1.bias.k0"],
+        bias=leaves["layer1.bias"],
     )
     h2 = rgcn_forward(
         g.edges,
         g.num_nodes,
         h1,
-        [leaves[f"layer2.w.r{r}k0"] for r in range(3)],
+        [slice_rows(leaves["layer2.w"], 4 * r, 4 * (r + 1)) for r in range(3)],
         activation="identity",
-        bias=leaves["layer2.bias.k0"],
+        bias=leaves["layer2.bias"],
     )
     ref = row_softmax(h2)
     assert np.max(np.abs(probs.data - ref.data)) <= 1e-12
@@ -323,17 +324,19 @@ def test_identity_basis_coefficients_reproduce_unrestricted_kernels():
         basis_w=slots,
         basis_a=slots,
     )
+    # slot k*R + r is row block k*R + r of a stacked kernel and row k*R + r
+    # of the coefficients
     w_rows, a_rows = [], []
-    for r in range(relations):
-        for k in range(heads):
-            w_rows.append(plain.params[f"u.w.r{r}k{k}"].reshape(-1))
-            a_rows.append(plain.params[f"u.a.r{r}k{k}"].reshape(-1))
+    for k in range(heads):
+        for r in range(relations):
+            w_rows.append(np.split(plain.params["u.w"], slots)[k * relations + r].reshape(-1))
+            a_rows.append(np.split(plain.params["u.a"], slots)[k * relations + r].reshape(-1))
     based.params["b.w_basis"] = np.stack(w_rows)
     based.params["b.w_coeff"] = np.eye(slots)
     based.params["b.a_basis"] = np.stack(a_rows)
     based.params["b.a_coeff"] = np.eye(slots)
     for k in range(heads):
-        based.params[f"b.bias.k{k}"] = plain.params[f"u.bias.k{k}"].copy()
+        np.split(based.params["b.bias"], heads)[k][:] = np.split(plain.params["u.bias"], heads)[k]
 
     def run(layer):
         tape = Tape()
@@ -348,14 +351,14 @@ def test_identity_basis_coefficients_reproduce_unrestricted_kernels():
 
     assert np.max(np.abs(out_u.data - out_b.data)) <= 1e-10
     assert np.max(np.abs(grads_u[h_u] - grads_b[h_b])) <= 1e-10
-    for slot, (r, k) in enumerate(itertools.product(range(relations), range(heads))):
-        dw = grads_u[leaves_u[f"u.w.r{r}k{k}"]].reshape(-1)
-        da = grads_u[leaves_u[f"u.a.r{r}k{k}"]].reshape(-1)
+    for slot, (k, r) in enumerate(itertools.product(range(heads), range(relations))):
+        dw = np.split(grads_u[leaves_u["u.w"]], slots)[k * relations + r].reshape(-1)
+        da = np.split(grads_u[leaves_u["u.a"]], slots)[k * relations + r].reshape(-1)
         assert np.max(np.abs(grads_b[leaves_b["b.w_basis"]][slot] - dw)) <= 1e-10
         assert np.max(np.abs(grads_b[leaves_b["b.a_basis"]][slot] - da)) <= 1e-10
     for k in range(heads):
-        dbu = grads_u[leaves_u[f"u.bias.k{k}"]]
-        dbb = grads_b[leaves_b[f"b.bias.k{k}"]]
+        dbu = np.split(grads_u[leaves_u["u.bias"]], heads)[k]
+        dbb = np.split(grads_b[leaves_b["b.bias"]], heads)[k]
         assert np.max(np.abs(dbu - dbb)) <= 1e-10
 
 

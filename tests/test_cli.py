@@ -442,8 +442,11 @@ def _add_unknown_model_field(manifest):
         (lambda m: m.pop("parameters"), "parameters"),
         (lambda m: m.pop("total_values"), "total_values"),
         (_add_unknown_model_field, "fancy_option"),
+        # format 1 kept one kernel per (relation, head) slot and one bias per head
+        (lambda m: m.update(format=1), "checkpoint has format 1; this relgat reads format 2"),
+        (lambda m: m.pop("format"), "checkpoint has format None; this relgat reads format 2"),
     ],
-    ids=["no-config", "no-model-config", "no-parameters", "no-total-values", "unknown-model-field"],
+    ids=["no-config", "no-model-config", "no-parameters", "no-total-values", "unknown-model-field", "format-1", "no-format"],
 )
 def test_eval_rejects_incomplete_manifest(tmp_path, capsys, edit, message):
     data = _gen(tmp_path)
@@ -459,6 +462,17 @@ def test_eval_rejects_incomplete_manifest(tmp_path, capsys, edit, message):
     assert main(["eval", "--data", str(data), "--checkpoint", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("manifest", [[1], "manifest", 2, None])
+def test_eval_refuses_a_manifest_that_is_not_an_object(tmp_path, capsys, manifest):
+    data = _gen(tmp_path)
+    out = _train(tmp_path, data, "run")
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--checkpoint", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a JSON object" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field", ["name", "shape", "offset"])

@@ -21,6 +21,7 @@ from relgat.layers import (
 )
 from relgat.tensor import (
     Tape,
+    Tensor,
     add,
     concat_rows,
     gather_rows,
@@ -41,6 +42,16 @@ RNG = np.random.default_rng
 
 def _leaves(tape, layer):
     return {k: tape.leaf(v) for k, v in layer.params.items()}
+
+
+def _block(stacked, count, index):
+    """Row block index of count equal blocks: slot k*R + r of a stacked
+    kernel, or head k of the joined biases; a view of an array, or a
+    slice_rows of a leaf."""
+    rows = stacked.shape[0] // count
+    if isinstance(stacked, Tensor):
+        return slice_rows(stacked, index * rows, (index + 1) * rows)
+    return stacked[index * rows : (index + 1) * rows]
 
 
 def test_additive_logit_frozen_value():
@@ -161,9 +172,9 @@ def test_layer_shapes_concat_and_mean():
         assert out.shape == (6, units)
     # concat splits width across heads, mean keeps full width per head
     concat_layer = RgatLayer(rng, "c", 4, 8, 2, 3, head_agg="concat")
-    assert concat_layer.params["c.w.r0k0"].shape == (4, 4)
+    assert _block(concat_layer.params["c.w"], 6, 0).shape == (4, 4)
     mean_layer = RgatLayer(rng, "m", 4, 8, 2, 3, head_agg="mean")
-    assert mean_layer.params["m.w.r0k0"].shape == (4, 8)
+    assert _block(mean_layer.params["m.w"], 6, 0).shape == (4, 8)
 
 
 def test_concat_width_must_divide():
@@ -178,9 +189,9 @@ def test_mean_heads_average_preactivations_with_bias():
     layer = RgatLayer(rng, "l", 2, 2, 2, 1, head_agg="mean", activation="identity")
     for r in range(1):
         for k in range(2):
-            layer.params[f"l.w.r{r}k{k}"][:] = 0.0
-    layer.params["l.bias.k0"][:] = [1.0, 3.0]
-    layer.params["l.bias.k1"][:] = [2.0, 5.0]
+            _block(layer.params["l.w"], 2, k * 1 + r)[:] = 0.0  # slot k*R + r, R = 1
+    _block(layer.params["l.bias"], 2, 0)[:] = [1.0, 3.0]
+    _block(layer.params["l.bias"], 2, 1)[:] = [2.0, 5.0]
     tape = Tape()
     out = layer.forward(_leaves(tape, layer), g.edges, 3, tape.leaf(g.features))
     assert np.allclose(out.data, np.tile([1.5, 4.0], (3, 1)), atol=1e-15)
@@ -190,8 +201,8 @@ def test_per_head_bias_added_before_activation():
     rng = RNG(3)
     g = build_graph(2, 1, [], rng.normal(size=(2, 2)))
     layer = RgatLayer(rng, "l", 2, 2, 1, 1, activation="relu")
-    layer.params["l.w.r0k0"][:] = 0.0
-    layer.params["l.bias.k0"][:] = [-1.0, 2.0]
+    _block(layer.params["l.w"], 1, 0)[:] = 0.0
+    _block(layer.params["l.bias"], 1, 0)[:] = [-1.0, 2.0]
     tape = Tape()
     out = layer.forward(_leaves(tape, layer), g.edges, 2, tape.leaf(g.features))
     # relu applies after the bias
@@ -211,12 +222,7 @@ def test_basis_layer_parameter_groups():
     assert layer.w_parameter_names() == ["l.w_basis", "l.w_coeff"]
     assert layer.a_parameter_names() == ["l.a_basis", "l.a_coeff"]
     dense = RgatLayer(RNG(0), "d", 3, 4, 2, 2)
-    assert dense.w_parameter_names() == [
-        "d.w.r0k0",
-        "d.w.r0k1",
-        "d.w.r1k0",
-        "d.w.r1k1",
-    ]
+    assert dense.w_parameter_names() == ["d.w"]
 
 
 def test_zero_attention_kernel_gives_uniform_coefficients_and_matches_rgcn():
@@ -228,12 +234,12 @@ def test_zero_attention_kernel_gives_uniform_coefficients_and_matches_rgcn():
         rng, "l", 3, 4, 1, 2, activation="identity", use_bias=False
     )
     for r in range(2):
-        layer.params[f"l.a.r{r}k0"][:] = 0.0
+        _block(layer.params["l.a"], 2, r)[:] = 0.0
     tape = Tape()
     leaves = _leaves(tape, layer)
     h = tape.leaf(g.features)
     attention_out = layer.forward(leaves, g.edges, n, h)
-    kernels = [leaves["l.w.r0k0"], leaves["l.w.r1k0"]]
+    kernels = [_block(leaves["l.w"], 2, 0), _block(leaves["l.w"], 2, 1)]
     baseline = rgcn_forward(g.edges, n, h, kernels)
     assert np.max(np.abs(attention_out.data - baseline.data)) < 1e-12
 
@@ -339,15 +345,33 @@ def _concat_cols(parts):
     return parts[0].tape.record("concat_cols", np.concatenate([p.data for p in parts], axis=1), backward)
 
 
+def _slot_leaves(tape, layer):
+    """Leaves of the per-slot loop: every row block of a stacked kernel
+    (slot k*R + r) and of the joined biases (head k) as its own leaf, keyed
+    (parameter name, block), and every other parameter whole."""
+    slots = {f"{layer.name}.{kind}": layer.heads * layer.num_relations for kind in ("w", "a")}
+    slots[f"{layer.name}.bias"] = layer.heads
+    leaves = {}
+    for name, value in layer.params.items():
+        if name in slots:
+            for i in range(slots[name]):
+                leaves[name, i] = tape.leaf(_block(value, slots[name], i))
+        else:
+            leaves[name] = tape.leaf(value)
+    return leaves
+
+
 def _per_slot_forward(layer, leaves, edges, num_nodes, h, constant=False):
     """The loop the all-slot forward replaced: per head, one projection,
-    logit vector and gather per relation, then one softmax and aggregation."""
+    logit vector and gather per relation, then one softmax and aggregation.
+    Reads the leaves of _slot_leaves."""
     name, heads, fp = layer.name, layer.heads, layer.per_head
+    relations = layer.num_relations
 
     def kernel(kind, basis, r, k, shape):
         if basis is None:
-            return leaves[f"{name}.{kind}.r{r}k{k}"]
-        row = slice_rows(leaves[f"{name}.{kind}_coeff"], r * heads + k, r * heads + k + 1)
+            return leaves[(f"{name}.{kind}", k * relations + r)]
+        row = slice_rows(leaves[f"{name}.{kind}_coeff"], k * relations + r, k * relations + r + 1)
         return reshape(matmul(row, leaves[f"{name}.{kind}_basis"]), shape)
 
     kind = f"c-{layer.norm_kind}" if constant else layer.norm_kind
@@ -366,7 +390,7 @@ def _per_slot_forward(layer, leaves, edges, num_nodes, h, constant=False):
         values = concat_rows([gather_rows(p, src) for p, (_, src) in zip(projected, edges)])
         agg = segment_reduce(scale_rows(values, att.coefficients), tgt_all, num_nodes)
         if layer.use_bias:
-            agg = add(agg, leaves[f"{name}.bias.k{k}"])
+            agg = add(agg, leaves[(f"{name}.bias", k)])
         head_sums.append(agg)
     if layer.head_agg == "concat":
         out = head_sums[0] if heads == 1 else _concat_cols(head_sums)
@@ -378,11 +402,12 @@ def _per_slot_forward(layer, leaves, edges, num_nodes, h, constant=False):
     return {"relu": relu, "tanh": tanh, "identity": lambda t: t}[layer.activation](out)
 
 
-def _forward_and_gradients(forward, layer, g, constant):
+def _forward_and_gradients(forward, layer, g, constant, bind=_leaves):
     """Output, input gradient and every parameter gradient of a random
-    linear read-out plus an L2 term, as training would record them."""
+    linear read-out plus an L2 term, as training would record them; the
+    gradients of a parameter bound as row blocks are joined in block order."""
     tape = Tape()
-    leaves = _leaves(tape, layer)
+    leaves = bind(tape, layer)
     h = tape.leaf(g.features)
     out = forward(leaves, g.edges, g.num_nodes, h, constant=constant)
     readout = RNG(99).normal(size=out.shape)
@@ -390,7 +415,10 @@ def _forward_and_gradients(forward, layer, g, constant):
     for leaf in leaves.values():
         loss = add(loss, mul(sum_squares(leaf), 1e-3))
     grads = tape.backward(loss)
-    return [out.data, grads[h]] + [grads[leaf] for leaf in leaves.values()]
+    per_param = {}
+    for key, leaf in leaves.items():
+        per_param.setdefault(key[0] if isinstance(key, tuple) else key, []).append(grads[leaf])
+    return [out.data, grads[h]] + [np.concatenate(parts) for parts in per_param.values()]
 
 
 @pytest.mark.parametrize("norm_kind", ["wirgat", "argat"])
@@ -416,7 +444,7 @@ def test_layer_matches_per_slot_loop_bitwise(logit_mode, heads, head_agg, kernel
 
     for g, constant in itertools.product(graphs, [False, True]):
         got = _forward_and_gradients(layer.forward, layer, g, constant)
-        want = _forward_and_gradients(reference, layer, g, constant)
+        want = _forward_and_gradients(reference, layer, g, constant, bind=_slot_leaves)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
 
@@ -497,8 +525,8 @@ def test_layer_constant_mode_matches_explicit_constant_kinds():
     out = layer.forward(leaves, g.edges, 5, h, constant=True)
     # reproduce by hand: uniform per (target, relation), summed
     att = attention_coefficients(None, g.edges, 5, "c-wirgat")
-    g0 = matmul(h, leaves["l.w.r0k0"]).data
-    g1 = matmul(h, leaves["l.w.r1k0"]).data
+    g0 = matmul(h, _block(leaves["l.w"], 2, 0)).data
+    g1 = matmul(h, _block(leaves["l.w"], 2, 1)).data
     expected = np.zeros((5, 4))
     vals = att.coefficient_values()
     expected[1] = vals[0] * g0[2] + vals[1] * g0[3] + vals[2] * g1[0]

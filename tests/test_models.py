@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from relgat.graph import GraphFormatError, batch_graphs, build_graph
+from relgat.layers import glorot
 from relgat.models import (
     GraphClassifier,
     GraphClassifierConfig,
@@ -274,9 +275,107 @@ def test_node_l2_groups_cover_kernels_only():
     groups = model.l2_groups()
     grouped = [n for names in groups.values() for n in names]
     assert set(groups) == {"layer1_w", "layer1_a", "layer2_w", "layer2_a"}
-    assert all(".w." in n or ".a." in n for n in grouped)
+    assert all(n.endswith((".w", ".a")) for n in grouped)
     assert not any("bias" in n for n in grouped)
     assert "embed" not in grouped
+
+
+def _per_slot_draws(rng, name, in_dim, per_head, attention_dim, heads, relations, basis=(None, None)):
+    """A layer's initial parameters as a per-slot loop draws them: glorot
+    per (relation, head) slot, relation-major, joined head-major (slot
+    k*R + r is row block k*R + r); with a basis, its coefficient rows,
+    drawn relation-major, in the same slot order; zero biases."""
+    params = {}
+    shapes = {"w": (in_dim, per_head), "a": (2 * per_head, attention_dim)}
+    for (kind, shape), size in zip(shapes.items(), basis):
+        if size is None:
+            drawn = {(r, k): glorot(rng, *shape) for r in range(relations) for k in range(heads)}
+            params[f"{name}.{kind}"] = np.concatenate([drawn[r, k] for k in range(heads) for r in range(relations)])
+        else:
+            params[f"{name}.{kind}_basis"] = np.stack([glorot(rng, *shape).ravel() for _ in range(size)])
+            coeff = glorot(rng, relations * heads, size)
+            params[f"{name}.{kind}_coeff"] = np.stack(
+                [coeff[r * heads + k] for k in range(heads) for r in range(relations)]
+            )
+    params[f"{name}.bias"] = np.zeros(heads * per_head)
+    return params
+
+
+def _dense_node():
+    config = NodeClassifierConfig(in_dim=3, num_relations=2, num_classes=2, hidden_units=6, heads=3)
+    rng = RNG(7)
+    want = _per_slot_draws(rng, "layer1", 3, 2, 1, 3, 2)
+    want.update(_per_slot_draws(rng, "layer2", 6, 2, 1, 3, 2))
+    table = [
+        ("layer1.w", (18, 2)),
+        ("layer1.a", (24, 1)),
+        ("layer1.bias", (6,)),
+        ("layer2.w", (36, 2)),
+        ("layer2.a", (24, 1)),
+        ("layer2.bias", (6,)),
+    ]
+    return NodeClassifier(RNG(7), config), table, want
+
+
+def _basis_node():
+    config = NodeClassifierConfig(
+        in_dim=5, num_relations=2, num_classes=2, hidden_units=6, heads=3,
+        basis_w=2, basis_a=3, one_hot=True, embed_dim=4,
+    )
+    rng = RNG(8)
+    want = {"embed": glorot(rng, 5, 4)}
+    want.update(_per_slot_draws(rng, "layer1", 4, 2, 1, 3, 2, (2, 3)))
+    want.update(_per_slot_draws(rng, "layer2", 6, 2, 1, 3, 2, (2, 3)))
+    table = [("embed", (5, 4))]
+    for name, in_dim in (("layer1", 4), ("layer2", 6)):
+        table += [
+            (f"{name}.w_basis", (2, in_dim * 2)),
+            (f"{name}.w_coeff", (6, 2)),
+            (f"{name}.a_basis", (3, 4)),
+            (f"{name}.a_coeff", (6, 3)),
+            (f"{name}.bias", (6,)),
+        ]
+    return NodeClassifier(RNG(8), config), table, want
+
+
+def _two_head_graph():
+    config = GraphClassifierConfig(
+        feature_dim=3, num_relations=2, num_tasks=1, num_classes=2, graph_units=4, dense_units=5,
+        heads=2, logit_mode="multiplicative",
+    )
+    rng = RNG(9)
+    want = _per_slot_draws(rng, "layer1", 3, 2, 2, 2, 2)
+    want.update(_per_slot_draws(rng, "layer2", 4, 2, 2, 2, 2))
+    want.update({
+        "dense1.w": glorot(rng, 8, 5),
+        "dense1.b": np.zeros(5),
+        "dense2.w": glorot(rng, 5, 2),
+        "dense2.b": np.zeros(2),
+    })
+    table = [
+        ("layer1.w", (12, 2)),
+        ("layer1.a", (16, 2)),
+        ("layer1.bias", (4,)),
+        ("layer2.w", (16, 2)),
+        ("layer2.a", (16, 2)),
+        ("layer2.bias", (4,)),
+        ("dense1.w", (8, 5)),
+        ("dense1.b", (5,)),
+        ("dense2.w", (5, 2)),
+        ("dense2.b", (2,)),
+    ]
+    return GraphClassifier(RNG(9), config), table, want
+
+
+@pytest.mark.parametrize("build", [_dense_node, _basis_node, _two_head_graph], ids=["dense-node", "basis-node", "graph"])
+def test_parameter_table_and_initial_draws(build):
+    # every slot keeps the values a per-slot loop draws from the same seed,
+    # stored where the forward reads it
+    model, table, want = build()
+    assert [(name, p.shape) for name, p in model.params.items()] == table
+    assert list(want) == list(model.params)
+    for name, p in model.params.items():
+        assert p.tobytes() == want[name].tobytes(), name
 
 
 def test_graph_classifier_row_convention():

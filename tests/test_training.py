@@ -35,7 +35,7 @@ from relgat.models import (
     bind_params,
     weighted_cross_entropy,
 )
-from relgat.tensor import Tape
+from relgat.tensor import Tape, concat_rows
 from relgat.training import (
     AdamState,
     DivergenceError,
@@ -370,10 +370,13 @@ def test_a_divergence_names_an_overflowing_query_or_key_product(half):
     # 0: that half's products with the projected features overflow before
     # any logit is formed, and the other half's stay finite
     model, task = _graph_task()
-    for name in model.layer1.a_parameter_names():
+    layer = model.layer1
+    for name in layer.a_parameter_names():
         kernel = np.zeros_like(model.params[name])
-        fp = kernel.shape[0] // 2
-        kernel[slice(fp) if half == "queries" else slice(fp, None)] = 1e308
+        # each slot's row block of the stacked kernels
+        for block in np.split(kernel, layer.heads * layer.num_relations):
+            fp = block.shape[0] // 2
+            block[slice(fp) if half == "queries" else slice(fp, None)] = 1e308
         model.params[name] = kernel
     message = f"non-finite entries in {half} of edge_attention"
     with pytest.raises(OverflowError, match=message):
@@ -640,7 +643,9 @@ def test_scoring_forward_equals_a_recorded_forward_bitwise(kind, constant):
 @pytest.mark.parametrize("norm_kind", ["wirgat", "argat"])
 def test_stacked_binding_equals_per_slot_binding_bitwise(norm_kind, logit_mode, heads, basis, use_bias, monkeypatch):
     # layer 1 concatenates its heads and layer 2 averages them; random
-    # parameters, biases included, so that every slot's rows differ
+    # parameters, biases included, so that every slot's rows differ. Bound
+    # per slot, every row block of a stacked kernel (slot k*R + r) and of the
+    # joined biases (head k) is its own leaf, joined head-major by concat_rows
     model, task = _node_task(
         hidden=6,
         heads=heads,
@@ -654,27 +659,49 @@ def test_stacked_binding_equals_per_slot_binding_bitwise(norm_kind, logit_mode, 
     params = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
     fit = training._fit(model, task)
     part = fit.part("train")
-    a_leaves = {"layer1.a", "layer2.a", *model.l2_groups()["layer1_a"], *model.l2_groups()["layer2_a"]}
+    relations = model.config.num_relations
+    blocks = {f"layer{i}.{kind}": heads * relations for i in (1, 2) for kind in ("w", "a")}
+    blocks.update({f"layer{i}.bias": heads for i in (1, 2)})
+
+    def bind_per_slot(tape):
+        slots = {
+            name: [tape.leaf(b) for b in np.split(value, blocks[name])]
+            for name, value in params.items()
+            if name in blocks
+        }
+        leaves = {
+            name: concat_rows(slots[name]) if name in slots else tape.leaf(value)
+            for name, value in params.items()
+        }
+        return leaves, slots
+
     for constant in (False, True):
         tape = Tape()
-        per_slot = fit.forward(tape, bind_params(tape, params), part, constant=constant)
+        per_slot = fit.forward(tape, bind_per_slot(tape)[0], part, constant=constant)
         tape = Tape()
-        leaves = model.bind(tape, params, constant=constant)
-        stacked = fit.forward(tape, leaves, part, constant=constant)
+        stacked = fit.forward(tape, bind_params(tape, params), part, constant=constant)
         assert stacked.data.tobytes() == per_slot.data.tobytes()
         scored = training._clean_forward(fit, params, part, constant)
         assert scored.data.tobytes() == per_slot.data.tobytes()
-        assert bool(a_leaves & leaves.keys()) is not constant
 
     tape = Tape()
-    slot_leaves = bind_params(tape, params)
+    slot_leaves, slots = bind_per_slot(tape)
     grad_map = tape.backward(fit.criterion(fit.forward(tape, slot_leaves, part), part))
+    tape = Tape()
+    leaves = bind_params(tape, params)
+    stacked_map = tape.backward(fit.criterion(fit.forward(tape, leaves, part), part))
     handed = {}
     monkeypatch.setattr(training, "adam_step", lambda p, grads, state, lr: handed.update(grads))
     training._step(fit, params, AdamState(params), part, None, TrainConfig())
     assert handed.keys() == params.keys()
     for name in params:
-        assert handed[name].tobytes() == grad_map[slot_leaves[name]].tobytes(), name
+        # a step hands Adam each leaf's tape gradient unchanged
+        assert handed[name].tobytes() == stacked_map[leaves[name]].tobytes(), name
+        if name in slots:
+            want = np.concatenate([grad_map[leaf] for leaf in slots[name]])
+        else:
+            want = grad_map[slot_leaves[name]]
+        assert handed[name].tobytes() == want.tobytes(), name
 
 
 def test_a_step_binds_each_kernel_kind_and_the_biases_as_one_leaf(monkeypatch):
@@ -714,13 +741,14 @@ def test_a_step_binds_each_kernel_kind_and_the_biases_as_one_leaf(monkeypatch):
     monkeypatch.setattr(training, "Tape", CountingTape)
     params = {k: v.copy() for k, v in model.params.items()}
     training._step(fit, params, AdamState(params), part, None, TrainConfig())
-    # 40 W and A slot leaves and 4 bias leaves become 6 stacked leaves, and
-    # the 6 concat_rows that joined them go; each layer's 2 query and key
-    # products and 9 multiplicative edge ops (two gathers, mul, rowsum,
-    # softmax, gather, scale, reshape, sum) are the 2 fused ones
-    slots = sum(len(names) for names in model.stacks.values())
-    assert (slots, len(model.stacks)) == (44, 6)
-    assert (tape.num_recorded, recorded) == (80, [80 - slots])
+    # the 40 W and A slots and 4 head biases are stored as 6 stacked
+    # parameters, one leaf each, with no concat_rows to join them; each
+    # layer's 2 query and key products and 9 multiplicative edge ops (two
+    # gathers, mul, rowsum, softmax, gather, scale, reshape, sum) are the 2
+    # fused ones
+    stacked = [name for name in model.params if name.startswith("layer")]
+    assert stacked == ["layer1.w", "layer1.a", "layer1.bias", "layer2.w", "layer2.a", "layer2.bias"]
+    assert (tape.num_recorded, recorded) == (36, [36])
 
 
 @pytest.mark.parametrize("kind", ["node", "graph"])
